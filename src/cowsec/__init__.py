@@ -28,7 +28,6 @@ from .core import (
     channel_point,
     coherent_pair_overlap,
     holevo_two_pure,
-    max_withdrawable_intensity,
 )
 from .attacks import (
     ACTIVE_BEAM_SPLITTING,
@@ -56,7 +55,6 @@ from .montecarlo import (
     blocking_probability,
     decoy_distortion,
     detection_pattern_probabilities,
-    detector_click,
     simulate_active_attack,
     simulate_no_attack,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "ChannelPoint",
     "channel_point",
     "attenuate",
-    "max_withdrawable_intensity",
     "binary_entropy",
     "binary_entropy_inverse",
     "coherent_pair_overlap",
@@ -108,7 +105,6 @@ __all__ = [
     "PatternRow",
     "DistortionReport",
     "InfeasibleBlockingError",
-    "detector_click",
     "blocking_probability",
     "simulate_no_attack",
     "simulate_active_attack",

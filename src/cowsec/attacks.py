@@ -52,11 +52,10 @@ ACTIVE_BEAM_SPLITTING = "active_beam_splitting"
 # Eve's information is treated as unity (no added errors needed) above this.
 FULLY_INSECURE_TOL = 1e-12
 
-# Source-intensity search range and coarse-grid resolution. COW runs deep
-# in the mu < 1 regime and the key-rate margin decays for bright sources,
-# so (0, 2] brackets every practically relevant optimum.
+# Upper bound on the source intensity. COW runs deep in the mu < 1 regime
+# and the key-rate margin decays for bright sources, so (0, 2] holds every
+# practically relevant optimum.
 MU_SEARCH_MAX = 2.0
-MU_SEARCH_GRID = 2000
 
 
 @dataclass(frozen=True)
@@ -107,14 +106,21 @@ def bs_attack(params: ProtocolParams, length_km: float) -> AttackReport:
     QBER never reaches zero.
     """
     point = channel_point(params, length_km)
-    i_ae = holevo_two_pure(coherent_pair_overlap(point.mu_e_max))
+    return _report(BEAM_SPLITTING, holevo_two_pure(coherent_pair_overlap(point.mu_e_max)))
+
+
+def _report(
+    attack_kind: str, i_ae: float, plan: Optional[ActiveAttackPlan] = None
+) -> AttackReport:
+    """Critical QBER where Bob's 1 - h2(Q) falls to Eve's i_ae; zero once she knows everything."""
     insecure = i_ae >= 1.0 - FULLY_INSECURE_TOL
     qber = 0.0 if insecure else binary_entropy_inverse(1.0 - i_ae)
     return AttackReport(
-        attack_kind=BEAM_SPLITTING,
+        attack_kind=attack_kind,
         i_ae=i_ae,
         qber_critical=qber,
         fully_insecure=insecure,
+        plan=plan,
     )
 
 
@@ -202,16 +208,7 @@ def critical_length(delta: float) -> float:
 def active_attack(params: ProtocolParams, length_km: float) -> AttackReport:
     """Active beam-splitting attack at Eve's optimal diverted intensity."""
     plan = active_plan(params, length_km, optimal_mu_e(params, length_km))
-    i_ae = active_eve_info(plan)
-    insecure = i_ae >= 1.0 - FULLY_INSECURE_TOL
-    qber = 0.0 if insecure else binary_entropy_inverse(1.0 - i_ae)
-    return AttackReport(
-        attack_kind=ACTIVE_BEAM_SPLITTING,
-        i_ae=i_ae,
-        qber_critical=qber,
-        fully_insecure=insecure,
-        plan=plan,
-    )
+    return _report(ACTIVE_BEAM_SPLITTING, active_eve_info(plan), plan)
 
 
 def fully_insecure_length(params: ProtocolParams) -> float:
@@ -240,26 +237,12 @@ def key_rate_margin(params: ProtocolParams, length_km: float) -> float:
     """
     mu_b = attenuate(params.mu, params.delta, length_km)
     plan = active_plan(params, length_km, optimal_mu_e(params, length_km))
-    return -math.expm1(-mu_b) * (1.0 - active_eve_info(plan))
+    return _margin(mu_b, active_eve_info(plan))
 
 
-def _golden_max(fn, lo: float, hi: float, xtol: float) -> float:
-    """Golden-section search for the maximiser of a unimodal fn on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    while b - a > xtol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fn(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fn(x1)
-    return 0.5 * (a + b)
+def _margin(mu_b: float, i_ae: float) -> float:
+    """Bob's erasure-channel capacity 1 - exp(-mu_b) less Eve's share i_ae of it."""
+    return -math.expm1(-mu_b) * (1.0 - i_ae)
 
 
 def optimal_source_intensity(
@@ -267,30 +250,45 @@ def optimal_source_intensity(
 ) -> OptimalIntensity:
     """Source intensity maximising the key-rate margin at a given length.
 
-    Coarse grid scan over (0, MU_SEARCH_MAX] followed by a golden-section
-    refinement around the best grid point. The margin is empirically
-    unimodal in mu; the test suite re-checks grid dominance rather than
-    assuming it. A degenerate result (no positive margin anywhere in the
-    range) is flagged rather than raised.
+    With T = 10**(-delta*L/10) the regime depends on L alone. Below the
+    critical length (T >= 1/2) Eve diverts the whole budget unblocked and
+    the margin exp(-mu*(1-T)) - exp(-mu) peaks in closed form at
+    mu* = -ln(1-T)/T. Beyond it the margin is
+    max(0, (1 - exp(-mu*T)) - (1 - exp(-mu/2))**2), whose stationarity
+    condition T*exp(-mu*T) = exp(-mu/2) - exp(-mu) has exactly one root in
+    (0, MU_SEARCH_MAX]; bisection finds it. mu* is clipped to
+    MU_SEARCH_MAX, which binds below about 5 km at 0.2 dB/km, where the
+    unconstrained optimum is brighter (unbounded at 0 km). The decoy
+    fraction f does not enter the margin, so it only reaches the result
+    through parameter validation. The margin is key_rate_margin at mu*; a
+    degenerate result (no positive margin, e.g. when the long-channel
+    optimum is too dim for double precision to resolve) is flagged
+    rather than raised.
     """
-    if length_km < 0:
-        raise ValueError(f"channel length must be non-negative, got {length_km}")
+    t = attenuate(1.0, delta, length_km)
+    if t >= 0.5:
+        mu_star = -math.log1p(-t) / t if t < 1.0 else math.inf
+    else:
+        mu_star = _stationary_root(t)
+    mu_star = min(mu_star, MU_SEARCH_MAX)
+    params = ProtocolParams(mu=mu_star, decoy_fraction=f, delta=delta)
+    margin = key_rate_margin(params, length_km)
+    return OptimalIntensity(mu=mu_star, margin=margin, degenerate=margin <= 0.0)
 
-    def margin_at(mu: float) -> float:
-        return key_rate_margin(ProtocolParams(mu=mu, decoy_fraction=f, delta=delta), length_km)
 
-    step = MU_SEARCH_MAX / MU_SEARCH_GRID
-    best_i, best_margin = 0, -math.inf
-    for i in range(MU_SEARCH_GRID):
-        m = margin_at(step * (i + 1))
-        if m > best_margin:
-            best_i, best_margin = i, m
+def _stationary_root(t: float) -> float:
+    """Root in (0, MU_SEARCH_MAX] of t*exp(-mu*t) - exp(-mu)*expm1(mu/2).
 
-    lo = max(step * best_i, step * 1e-3)  # keep the bracket inside (0, mu_max]
-    hi = min(step * (best_i + 2), MU_SEARCH_MAX)
-    mu_star = _golden_max(margin_at, lo, hi, xtol=1e-7)
-    margin_star = margin_at(mu_star)
-    # Refinement never loses to the coarse scan.
-    if best_margin > margin_star:
-        mu_star, margin_star = step * (best_i + 1), best_margin
-    return OptimalIntensity(mu=mu_star, margin=margin_star, degenerate=margin_star <= 0.0)
+    The function is t > 0 at mu -> 0+ and changes sign once, so bisection
+    to adjacent floats pins the root; hi never reaches 0, and it stays at
+    MU_SEARCH_MAX if there is no sign change.
+    """
+    lo, hi = 0.0, MU_SEARCH_MAX
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        if t * math.exp(-mid * t) > math.exp(-mid) * math.expm1(0.5 * mid):
+            lo = mid
+        else:
+            hi = mid

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence, Tuple
 
@@ -36,6 +37,8 @@ from .sweeps import (
 
 __all__ = ["main", "console_main", "build_parser"]
 
+_WORKERS_HELP = "accepted and ignored; rows are computed serially"
+
 
 def _parse_mu_list(text: str) -> Tuple[float, ...]:
     try:
@@ -44,6 +47,8 @@ def _parse_mu_list(text: str) -> Tuple[float, ...]:
         raise ValueError(f"cannot parse intensity list {text!r}") from None
     if not values:
         raise ValueError("empty intensity list")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"--mu values must be finite, got {text!r}")
     return values
 
 
@@ -55,6 +60,8 @@ def _parse_range(text: str) -> Tuple[float, float, float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise ValueError(f"cannot parse length range {text!r}") from None
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError(f"--length bounds and step must be finite, got {text!r}")
     return lo, hi, step
 
 
@@ -78,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     qc.add_argument("--attacks", default="bs,active", help="subset of bs,active")
     qc.add_argument("--out", required=True, help="output file path")
     qc.add_argument("--format", choices=("csv", "json"), default="csv")
-    qc.add_argument("--workers", type=int, default=1, help="parallel evaluation threads")
+    qc.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 
     oi = sub.add_parser("optimal-intensity", help="margin-optimal source intensity per length")
     oi.add_argument("--delta", type=float, default=0.2)
@@ -86,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     oi.add_argument("--length", default="1:100:1")
     oi.add_argument("--out", required=True)
     oi.add_argument("--format", choices=("csv", "json"), default="csv")
-    oi.add_argument("--workers", type=int, default=1)
+    oi.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 
     ar = sub.add_parser("attack-report", help="analyse a single channel point")
     ar.add_argument("--mu", type=float, required=True)
@@ -187,8 +194,13 @@ def _cmd_validate_mc(args: argparse.Namespace) -> int:
                 fh.write(text)
         except OSError as exc:
             raise OSError(f"cannot write report to {args.out}: {exc}") from exc
-        failed = [c.name for c in report.checks if c.status == "fail"]
-        verdict = "all checks passed" if report.passed else f"FAILED: {', '.join(failed)}"
+        if not report.passed:
+            failed = [c.name for c in report.checks if c.status == "fail"]
+            verdict = f"FAILED: {', '.join(failed)}"
+        elif not any(c.status == "pass" for c in report.checks):
+            verdict = "no check had the power to pass: all low_power, nothing was tested"
+        else:
+            verdict = "all checks passed"
         print(f"wrote {args.out} ({verdict})")
     return 0 if report.passed else 1
 

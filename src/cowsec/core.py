@@ -16,7 +16,6 @@ __all__ = [
     "ChannelPoint",
     "channel_point",
     "attenuate",
-    "max_withdrawable_intensity",
     "binary_entropy",
     "binary_entropy_inverse",
     "coherent_pair_overlap",
@@ -38,14 +37,16 @@ class ProtocolParams:
     delta: float = 0.2
 
     def __post_init__(self) -> None:
-        if not self.mu > 0:
-            raise ValueError(f"source intensity must be positive, got {self.mu}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"source intensity must be positive and finite, got {self.mu}")
         if not 0.0 <= self.decoy_fraction < 1.0:
             raise ValueError(
                 f"decoy fraction must lie in [0, 1), got {self.decoy_fraction}"
             )
-        if not self.delta > 0:
-            raise ValueError(f"attenuation coefficient must be positive, got {self.delta}")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(
+                f"attenuation coefficient must be positive and finite, got {self.delta}"
+            )
 
 
 @dataclass(frozen=True)
@@ -73,22 +74,13 @@ def attenuate(mu: float, delta: float, length_km: float) -> float:
 
     Returns mu * 10**(-delta*length_km/10).
     """
-    if not mu > 0:
-        raise ValueError(f"intensity must be positive, got {mu}")
-    if not delta > 0:
-        raise ValueError(f"attenuation coefficient must be positive, got {delta}")
-    if length_km < 0:
-        raise ValueError(f"channel length must be non-negative, got {length_km}")
+    if not 0 < mu < math.inf:
+        raise ValueError(f"intensity must be positive and finite, got {mu}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"attenuation coefficient must be positive and finite, got {delta}")
+    if not 0 <= length_km < math.inf:
+        raise ValueError(f"channel length must be non-negative and finite, got {length_km}")
     return mu * 10.0 ** (-delta * length_km / 10.0)
-
-
-def max_withdrawable_intensity(mu: float, delta: float, length_km: float) -> float:
-    """Largest intensity an eavesdropper can divert without changing Bob's rate.
-
-    The line loss over length_km bounds the diversion: mu - mu_b. Zero for a
-    lossless (zero-length) channel, approaching mu for long channels.
-    """
-    return mu - attenuate(mu, delta, length_km)
 
 
 def binary_entropy(q: float) -> float:

@@ -32,7 +32,6 @@ __all__ = [
     "PatternRow",
     "DistortionReport",
     "InfeasibleBlockingError",
-    "detector_click",
     "blocking_probability",
     "derive_stream_seed",
     "simulate_no_attack",
@@ -101,13 +100,6 @@ def _uniforms(seed: int, first_pulse: int, count: int, slot: int) -> np.ndarray:
     z = z ^ (z >> np.uint64(31))
     # Top 53 bits give a uniform double in [0, 1).
     return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
-def detector_click(intensity: float, rng: np.random.Generator) -> bool:
-    """Single threshold-detector firing: True with probability 1 - exp(-mu)."""
-    if intensity < 0:
-        raise ValueError(f"intensity must be non-negative, got {intensity}")
-    return bool(rng.random() < -math.expm1(-intensity))
 
 
 def blocking_probability(plan: ActiveAttackPlan) -> float:

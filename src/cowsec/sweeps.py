@@ -12,12 +12,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .attacks import (
+    _margin,
     active_attack,
     active_eve_info,
     active_plan,
@@ -141,31 +141,25 @@ def _qber_row(mu: float, delta: float, f: float, length_km: float, attacks: Sequ
             mu_e_opt=report.plan.mu_e,
             block_fraction=report.plan.block_fraction,
             fully_insecure=report.fully_insecure,
-            margin=-math.expm1(-mu_b) * (1.0 - report.i_ae),
+            margin=_margin(mu_b, report.i_ae),
         )
     return SweepRow(mu=mu, length_km=length_km, **kwargs)
-
-
-def _run_points(fn, points: Sequence[tuple], workers: int) -> List[SweepRow]:
-    if workers <= 1:
-        return [fn(*p) for p in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda p: fn(*p), points))
 
 
 def sweep_qber_curves(spec: SweepSpec, workers: int = 1) -> List[SweepRow]:
     """Critical-QBER curves over a length grid, one row per (mu, length).
 
     Rows come back sorted by (mu, length). When spec.output_path is set
-    the table is also written in spec.format.
+    the table is also written in spec.format. workers is accepted and
+    ignored: rows are computed serially, because threads only slow this
+    pure-Python work down under the interpreter lock.
     """
     lengths = length_grid(spec.l_min, spec.l_max, spec.l_step)
-    points = [
-        (mu, spec.delta, spec.decoy_fraction, l, spec.attacks)
+    rows = [
+        _qber_row(mu, spec.delta, spec.decoy_fraction, l, spec.attacks)
         for mu in spec.mu_list
         for l in lengths
     ]
-    rows = _run_points(_qber_row, points, workers)
     rows.sort(key=lambda r: (r.mu, r.length_km))
     if spec.output_path is not None:
         write_sweep(spec.output_path, rows, _spec_config(spec, "qber-curves"), spec.format)
@@ -200,14 +194,15 @@ def sweep_optimal_intensity(
     fmt: str = "csv",
     workers: int = 1,
 ) -> List[SweepRow]:
-    """Per length: the margin-optimal source intensity and both critical QBERs there."""
+    """Per length: the margin-optimal source intensity and both critical QBERs there.
+
+    workers is accepted and ignored, as in sweep_qber_curves.
+    """
     if l_min < 0 or l_step <= 0 or l_max < l_min:
         raise ValueError(f"invalid length range {l_min}:{l_max}:{l_step}")
     if fmt not in _FORMATS:
         raise ValueError(f"format must be one of {_FORMATS}, got {fmt}")
-    points = [(delta, f, l) for l in length_grid(l_min, l_max, l_step)]
-    rows = _run_points(_optimal_row, points, workers)
-    rows.sort(key=lambda r: r.length_km)
+    rows = [_optimal_row(delta, f, l) for l in length_grid(l_min, l_max, l_step)]
     if output_path is not None:
         config = {
             "command": "optimal-intensity",

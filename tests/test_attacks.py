@@ -447,3 +447,32 @@ def test_optimal_intensity_degenerate_reporting():
     hopeless = optimal_source_intensity(0.2, 0.1, 1000.0)
     assert hopeless.degenerate
     assert hopeless.margin <= 0.0
+
+
+def test_optimal_intensity_ignores_decoy_fraction():
+    # decoys change Eve's total conclusive rate but not the margin
+    for length in (0.5, 10.0, 15.0, 30.0, 120.0):
+        assert optimal_source_intensity(0.2, 0.0, length) == optimal_source_intensity(
+            0.2, 0.5, length
+        )
+
+
+def test_optimal_intensity_clips_to_search_bound_on_short_channel():
+    # below the critical length the unconstrained optimum is -ln(1-t)/t,
+    # which exceeds the search bound of 2 at 0.5 km
+    t = 10.0 ** (-0.2 * 0.5 / 10.0)
+    assert -math.log(1.0 - t) / t > 2.0
+    opt = optimal_source_intensity(0.2, 0.1, 0.5)
+    assert opt.mu == 2.0
+    assert opt.margin == key_rate_margin(params(2.0), 0.5)
+    assert not opt.degenerate
+
+
+@pytest.mark.parametrize("length", [2000.0, 20000.0])
+def test_optimal_intensity_hopeless_channel_is_degenerate(length):
+    # at 20000 km the transmittance underflows to exactly 0; the optimiser
+    # must still hand ProtocolParams a positive intensity and flag the result
+    opt = optimal_source_intensity(0.2, 0.1, length)
+    assert opt.degenerate
+    assert opt.margin == 0.0
+    assert 0.0 < opt.mu <= 2.0

@@ -20,7 +20,6 @@ from cowsec.core import (
     channel_point,
     coherent_pair_overlap,
     holevo_two_pure,
-    max_withdrawable_intensity,
 )
 
 # mpmath, 50 dps: 0.2 * 10**(-0.2*30/10)
@@ -115,29 +114,43 @@ def test_attenuate_multiplicative_in_length(mu, delta, l1, l2):
 
 
 @pytest.mark.parametrize(
-    "mu,delta,l", [(0.0, 0.2, 5.0), (-0.1, 0.2, 5.0), (0.5, 0.0, 5.0), (0.5, 0.2, -1.0)]
+    "mu,delta,l",
+    [
+        (0.0, 0.2, 5.0),
+        (-0.1, 0.2, 5.0),
+        (0.5, 0.0, 5.0),
+        (0.5, 0.2, -1.0),
+        (math.nan, 0.2, 5.0),
+        (math.inf, 0.2, 5.0),
+        (0.5, math.nan, 5.0),
+        (0.5, math.inf, 5.0),
+        (0.5, 0.2, math.nan),
+        (0.5, 0.2, math.inf),
+    ],
 )
 def test_attenuate_domain_errors(mu, delta, l):
     with pytest.raises(ValueError):
         attenuate(mu, delta, l)
 
 
-def test_max_withdrawable_lossless_channel():
-    assert max_withdrawable_intensity(0.5, 0.2, 0.0) == 0.0
+# ---------------------------------------------------------------------------
+# channel points and parameter validation
+
+
+def test_channel_point_lossless_channel_has_no_budget():
+    assert channel_point(ProtocolParams(mu=0.5, delta=0.2), 0.0).mu_e_max == 0.0
 
 
 def test_max_withdrawable_exact_decade():
-    assert max_withdrawable_intensity(0.5, 0.2, 50.0) == 0.45
+    # exponent is exactly -1, so the withdrawable budget is exactly 0.45
+    assert channel_point(ProtocolParams(mu=0.5, delta=0.2), 50.0).mu_e_max == 0.45
 
 
-def test_max_withdrawable_half_at_half_loss_length():
+def test_channel_point_budget_is_half_at_half_loss_length():
     # solve 10**(-delta*l/10) = 1/2 -> l = 10*log10(2)/delta
     l_half = 10.0 * math.log10(2.0) / 0.2
-    assert max_withdrawable_intensity(0.1, 0.2, l_half) == pytest.approx(0.05, abs=1e-15)
-
-
-# ---------------------------------------------------------------------------
-# channel points and parameter validation
+    point = channel_point(ProtocolParams(mu=0.1, delta=0.2), l_half)
+    assert point.mu_e_max == pytest.approx(0.05, abs=1e-15)
 
 
 @pytest.mark.parametrize("length", [0.0, 1.0, 15.0515, 40.0, 150.0])
@@ -150,6 +163,7 @@ def test_channel_point_invariants(mu, length):
 
 
 def test_channel_point_fields():
+    # exponent is exactly -1, so the budget is exactly 0.45
     point = channel_point(ProtocolParams(mu=0.5, delta=0.2), 50.0)
     assert point == ChannelPoint(length_km=50.0, mu_b=0.05, mu_e_max=0.45)
 
@@ -162,6 +176,11 @@ def test_channel_point_fields():
         {"mu": 0.5, "decoy_fraction": -0.01},
         {"mu": 0.5, "decoy_fraction": 1.0},
         {"mu": 0.5, "delta": 0.0},
+        {"mu": math.nan},
+        {"mu": math.inf},
+        {"mu": 0.5, "decoy_fraction": math.nan},
+        {"mu": 0.5, "delta": math.nan},
+        {"mu": 0.5, "delta": math.inf},
     ],
 )
 def test_protocol_params_validation(kwargs):

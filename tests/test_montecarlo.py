@@ -10,7 +10,6 @@ coincide within tolerance.
 
 import math
 
-import numpy as np
 import pytest
 
 from cowsec.attacks import active_plan, optimal_mu_e
@@ -23,7 +22,6 @@ from cowsec.montecarlo import (
     decoy_distortion,
     derive_stream_seed,
     detection_pattern_probabilities,
-    detector_click,
     simulate_active_attack,
     simulate_no_attack,
 )
@@ -53,31 +51,6 @@ def policy_expectations(p: ProtocolParams, length_km: float, plan):
         "i_ae_proxy": plan.p_conc_inf / survive_info,
         "blocked_overall": (1.0 - plan.p_conc_total) * beta,
     }
-
-
-# ---------------------------------------------------------------------------
-# detector primitive
-
-
-def test_detector_click_vacuum_never_fires():
-    rng = np.random.default_rng(0)
-    assert not any(detector_click(0.0, rng) for _ in range(1000))
-
-
-def test_detector_click_bright_pulse_always_fires():
-    rng = np.random.default_rng(0)
-    assert all(detector_click(60.0, rng) for _ in range(1000))
-
-
-def test_detector_click_negative_intensity():
-    with pytest.raises(ValueError):
-        detector_click(-0.2, np.random.default_rng(0))
-
-
-def test_detector_click_poisson_vacuum_rate():
-    rng = np.random.default_rng(SEED)
-    clicks = sum(detector_click(0.25, rng) for _ in range(N))
-    assert_within_4_sigma(clicks, N, -math.expm1(-0.25), "threshold click rate")
 
 
 # ---------------------------------------------------------------------------

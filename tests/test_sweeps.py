@@ -272,6 +272,22 @@ def test_cli_invalid_arguments_exit_2(tmp_path, capsys):
     assert cli.main(["no-such-command"]) == 2
     assert cli.main(["qber-curves", "--no-such-flag", "1", "--out", "x.csv"]) == 2
     capsys.readouterr()
+    # non-finite values are rejected where they enter, naming the argument
+    for argv, name in (
+        (["qber-curves", "--length", "0:inf:1"], "--length"),
+        (["qber-curves", "--length", "nan:10:1"], "--length"),
+        (["qber-curves", "--mu", "0.1,inf"], "--mu"),
+        (["qber-curves", "--mu", "nan"], "--mu"),
+        (["optimal-intensity", "--length", "1:10:inf"], "--length"),
+        (["attack-report", "--mu", "0.5", "--length", "nan"], "channel length"),
+        (["attack-report", "--mu", "inf", "--length", "20"], "source intensity"),
+        (["attack-report", "--mu", "0.5", "--length", "20", "--delta", "inf"], "attenuation"),
+    ):
+        if argv[0] != "attack-report":
+            argv = argv + ["--out", str(tmp_path / "x.csv")]
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert name in err and "finite" in err, (argv, err)
 
 
 def test_cli_io_error_exit_3(capsys):
@@ -296,6 +312,19 @@ def test_cli_validate_mc_stdout(capsys):
     assert payload["config"]["n_pulses"] == 50000
     assert code in (0, 1)  # small sample may legitimately wobble past 4 sigma
     assert code == (0 if payload["passed"] else 1)
+
+
+def test_cli_validate_mc_verdict_names_missing_power(tmp_path, capsys):
+    # at 200 km a hundred pulses leave every check low-powered: the verdict
+    # must not claim that any check passed
+    out = tmp_path / "r.json"
+    cli.main(
+        ["validate-mc", "--pulses", "100", "--length", "200", "--mu", "0.1", "--out", str(out)]
+    )
+    verdict = capsys.readouterr().out
+    assert "no check had the power to pass" in verdict
+    assert "all checks passed" not in verdict
+    assert {c["status"] for c in json.loads(out.read_text())["checks"]} == {"low_power"}
 
 
 def test_cli_validate_mc_failure_exit_code(monkeypatch, tmp_path, capsys):
