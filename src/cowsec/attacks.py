@@ -113,7 +113,7 @@ def _report(
     attack_kind: str, i_ae: float, plan: Optional[ActiveAttackPlan] = None
 ) -> AttackReport:
     """Critical QBER where Bob's 1 - h2(Q) falls to Eve's i_ae; zero once she knows everything."""
-    insecure = i_ae >= 1.0 - FULLY_INSECURE_TOL
+    insecure = _fully_insecure(i_ae)
     qber = 0.0 if insecure else binary_entropy_inverse(1.0 - i_ae)
     return AttackReport(
         attack_kind=attack_kind,
@@ -122,6 +122,16 @@ def _report(
         fully_insecure=insecure,
         plan=plan,
     )
+
+
+def _fully_insecure(i_ae: float) -> bool:
+    """Eve's information counts as a whole bit: no added errors needed, no key left."""
+    return i_ae >= 1.0 - FULLY_INSECURE_TOL
+
+
+def _exceeds_budget(mu_e: float, mu_e_max: float) -> bool:
+    """True when mu_e is above the loss budget mu_e_max by more than rounding."""
+    return mu_e > mu_e_max * (1.0 + 1e-12) + 1e-15
 
 
 def active_plan(params: ProtocolParams, length_km: float, mu_e: float) -> ActiveAttackPlan:
@@ -138,7 +148,7 @@ def active_plan(params: ProtocolParams, length_km: float, mu_e: float) -> Active
     point = channel_point(params, length_km)
     if mu_e < 0:
         raise ValueError(f"diverted intensity must be non-negative, got {mu_e}")
-    if mu_e > point.mu_e_max * (1.0 + 1e-12) + 1e-15:
+    if _exceeds_budget(mu_e, point.mu_e_max):
         raise ValueError(
             f"diverted intensity {mu_e} exceeds the loss budget "
             f"{point.mu_e_max} at {length_km} km"
@@ -241,7 +251,13 @@ def key_rate_margin(params: ProtocolParams, length_km: float) -> float:
 
 
 def _margin(mu_b: float, i_ae: float) -> float:
-    """Bob's erasure-channel capacity 1 - exp(-mu_b) less Eve's share i_ae of it."""
+    """Bob's erasure-channel capacity 1 - exp(-mu_b) less Eve's share i_ae of it.
+
+    Zero wherever _report calls the point fully insecure, so that the
+    margin and the fully-insecure flag never disagree.
+    """
+    if _fully_insecure(i_ae):
+        return 0.0
     return -math.expm1(-mu_b) * (1.0 - i_ae)
 
 

@@ -11,6 +11,14 @@ Randomness is counter-based: every uniform is SplitMix64(seed, pulse
 index, draw slot), so a pulse's outcome depends only on the seed and its
 index. Serial runs, chunked runs and arbitrary parallel partitions of
 the index range therefore produce bit-identical tallies.
+
+Both streams run through one chunk kernel: it builds the counter base of
+a chunk once and draws its slots one at a time. It skips Eve's draws when
+her click probability is zero and the block draw when nothing is blocked
+(the unattacked stream skips both); a uniform in [0, 1) is never below
+zero, so skipping changes no bit. Each pulse's outcome is packed into one
+code (class, Eve conclusive, blocked, delivered early and late clicks),
+and one bincount per chunk fills all eighteen counters.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .attacks import ActiveAttackPlan
+from .attacks import ActiveAttackPlan, _exceeds_budget
 from .core import ProtocolParams, channel_point
 
 __all__ = [
@@ -58,7 +66,8 @@ _SLOT_BOB_LATE = 5
 
 _CHUNK = 1 << 20
 
-# Stream tag for the unattacked baseline run inside decoy_distortion.
+# Stream tag for the unattacked baseline run of decoy_distortion and of the
+# validation harness.
 _BASELINE_STREAM = 1
 
 
@@ -90,16 +99,17 @@ def derive_stream_seed(seed: int, stream: int) -> int:
     return _mix64((seed + (stream + 1) * _GOLDEN) & _MASK64)
 
 
-def _uniforms(seed: int, first_pulse: int, count: int, slot: int) -> np.ndarray:
-    """Unit uniforms for one draw slot of pulses [first_pulse, first_pulse+count)."""
-    idx = np.arange(first_pulse, first_pulse + count, dtype=np.uint64)
-    word = idx * np.uint64(_DRAWS_PER_PULSE) + np.uint64(slot)
-    z = np.uint64(seed & _MASK64) + (word + np.uint64(1)) * np.uint64(_GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    z = z ^ (z >> np.uint64(31))
+def _uniforms(base: np.ndarray, slot: int) -> np.ndarray:
+    """Unit uniforms of one draw slot; base is the chunk's slot-0 counter."""
+    z = base + np.uint64((slot * _GOLDEN) & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
     # Top 53 bits give a uniform double in [0, 1).
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    z >>= np.uint64(11)
+    return z.astype(np.float64) * 2.0**-53
 
 
 def blocking_probability(plan: ActiveAttackPlan) -> float:
@@ -201,50 +211,70 @@ class TrialStats:
         return out
 
 
-def _draw_classes(params: ProtocolParams, seed: int, first: int, count: int) -> np.ndarray:
-    """Pulse classes as uint8 codes, probabilities ((1-f)/2, (1-f)/2, f)."""
-    u = _uniforms(seed, first, count, _SLOT_CLASS)
-    f = params.decoy_fraction
+def _pulse_outcomes(
+    f: float, p_bob: float, p_eve: float, beta: float, seed: int, start: int, count: int
+) -> Tuple[np.ndarray, ...]:
+    """Class, Eve conclusive, blocked, and Bob's raw early and late clicks per pulse.
+
+    Covers pulses [start, start+count). Classes have probabilities
+    ((1-f)/2, (1-f)/2, f); information pulses occupy one slot, decoys both.
+    Each occupied slot clicks for Eve with p_eve and for Bob with p_bob;
+    Eve blocks inconclusive pulses with probability beta, and blocking
+    suppresses Bob's raw clicks only later. Eve's and Bob's arms use
+    disjoint draw slots, so the beam splitter's two outputs are independent
+    by construction, as they are physically for coherent states.
+    """
+    # Counter of (pulse, slot): seed + (DRAWS_PER_PULSE*pulse + 1 + slot)*GOLDEN mod 2**64.
+    idx = np.arange(start, start + count, dtype=np.uint64)
+    base = (idx * np.uint64(_DRAWS_PER_PULSE) + np.uint64(1)) * np.uint64(_GOLDEN)
+    base += np.uint64(seed & _MASK64)
     half_info = 0.5 * (1.0 - f)
-    cls = np.full(count, PulseClass.DECOY, dtype=np.uint8)
-    cls[u < 2.0 * half_info] = PulseClass.BIT1
-    cls[u < half_info] = PulseClass.BIT0
-    return cls
-
-
-def _slot_occupancy(cls: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    u = _uniforms(base, _SLOT_CLASS)
+    # BIT0 below (1-f)/2, BIT1 below 1-f, DECOY above.
+    cls = (u >= half_info).view(np.uint8) + (u >= 2.0 * half_info).view(np.uint8)
     early = cls != PulseClass.BIT1
     late = cls != PulseClass.BIT0
-    return early, late
+
+    eve = np.zeros(count, dtype=bool)
+    if p_eve > 0.0:
+        eve |= early & (_uniforms(base, _SLOT_EVE_EARLY) < p_eve)
+        eve |= late & (_uniforms(base, _SLOT_EVE_LATE) < p_eve)
+    blocked = np.zeros(count, dtype=bool)
+    if beta > 0.0:
+        blocked |= ~eve & (_uniforms(base, _SLOT_BLOCK) < beta)
+    early &= _uniforms(base, _SLOT_BOB_EARLY) < p_bob
+    late &= _uniforms(base, _SLOT_BOB_LATE) < p_bob
+    return cls, eve, blocked, early, late
 
 
-def _tally_class(
-    stats: TrialStats,
-    cls: np.ndarray,
-    eve_conclusive: np.ndarray,
-    blocked: np.ndarray,
-    bob_early: np.ndarray,
-    bob_late: np.ndarray,
-) -> None:
-    single = bob_early ^ bob_late
-    double = bob_early & bob_late
-    bob_click = bob_early | bob_late
-    for code, tally in ((PulseClass.BIT0, stats.bit0), (PulseClass.BIT1, stats.bit1), (PulseClass.DECOY, stats.decoy)):
-        m = cls == code
-        tally.sent += int(m.sum())
-        tally.eve_conclusive += int((m & eve_conclusive).sum())
-        tally.blocked += int((m & blocked).sum())
-        tally.bob_single_click += int((m & single).sum())
-        tally.bob_double_click += int((m & double).sum())
-        tally.eve_conclusive_bob_click += int((m & eve_conclusive & bob_click).sum())
+def _tally_matrix() -> np.ndarray:
+    """ClassTally field increments (columns, in field order) of each 4-bit outcome code."""
+    eve, blocked, early, late = (np.arange(16) >> shift & 1 for shift in (3, 2, 1, 0))
+    sent = np.ones(16, dtype=eve.dtype)
+    return np.stack([sent, eve, blocked, early ^ late, early & late, eve & (early | late)], 1)
 
 
-def _chunks(first: int, n: int) -> Iterator[Tuple[int, int]]:
-    start = first
-    end = first + n
-    while start < end:
-        yield start, min(_CHUNK, end - start)
-        start += _CHUNK
+_TALLY = _tally_matrix()
+
+
+def _simulate(
+    f: float, p_bob: float, p_eve: float, beta: float, n_pulses: int, seed: int, first_pulse: int
+) -> TrialStats:
+    """Run the chunk kernel over n_pulses pulses and tally them per class."""
+    counts = np.zeros((3, 16), dtype=np.int64)
+    end = first_pulse + n_pulses
+    for start in range(first_pulse, end, _CHUNK):
+        cls, eve, blocked, early, late = _pulse_outcomes(
+            f, p_bob, p_eve, beta, seed, start, min(_CHUNK, end - start)
+        )
+        early &= ~blocked
+        late &= ~blocked
+        code = cls << 4
+        for shift, bit in ((3, eve), (2, blocked), (1, early), (0, late)):
+            code |= bit.view(np.uint8) << shift
+        counts += np.bincount(code, minlength=48).reshape(3, 16)
+    bit0, bit1, decoy = (ClassTally(*map(int, row)) for row in counts @ _TALLY)
+    return TrialStats(n_pulses=n_pulses, seed=seed & _MASK64, bit0=bit0, bit1=bit1, decoy=decoy)
 
 
 def simulate_no_attack(
@@ -261,60 +291,13 @@ def simulate_no_attack(
     """
     if n_pulses < 1:
         raise ValueError(f"need at least one pulse, got {n_pulses}")
-    point = channel_point(params, length_km)
-    p_click = -math.expm1(-point.mu_b)
-
-    stats = TrialStats(n_pulses=n_pulses, seed=seed & _MASK64)
-    for start, count in _chunks(first_pulse, n_pulses):
-        cls = _draw_classes(params, seed, start, count)
-        occ_early, occ_late = _slot_occupancy(cls)
-        bob_early = occ_early & (_uniforms(seed, start, count, _SLOT_BOB_EARLY) < p_click)
-        bob_late = occ_late & (_uniforms(seed, start, count, _SLOT_BOB_LATE) < p_click)
-        quiet = np.zeros(count, dtype=bool)
-        _tally_class(stats, cls, quiet, quiet, bob_early, bob_late)
-    return stats
-
-
-def _active_chunk(
-    params: ProtocolParams,
-    plan: ActiveAttackPlan,
-    beta: float,
-    seed: int,
-    start: int,
-    count: int,
-) -> Dict[str, np.ndarray]:
-    """Per-pulse outcomes of the active attack for one index range.
-
-    Bob's raw clicks are drawn for every pulse at the forwarded intensity;
-    blocking then suppresses delivery. Eve's and Bob's arms use disjoint
-    draw slots, so the beam splitter's two outputs are independent by
-    construction, as they are physically for coherent states.
-    """
-    p_eve = -math.expm1(-plan.mu_e)
-    p_bob = -math.expm1(-plan.mu_b_prime)
-
-    cls = _draw_classes(params, seed, start, count)
-    occ_early, occ_late = _slot_occupancy(cls)
-    eve_early = occ_early & (_uniforms(seed, start, count, _SLOT_EVE_EARLY) < p_eve)
-    eve_late = occ_late & (_uniforms(seed, start, count, _SLOT_EVE_LATE) < p_eve)
-    eve_conclusive = eve_early | eve_late
-    blocked = ~eve_conclusive & (_uniforms(seed, start, count, _SLOT_BLOCK) < beta)
-    bob_raw_early = occ_early & (_uniforms(seed, start, count, _SLOT_BOB_EARLY) < p_bob)
-    bob_raw_late = occ_late & (_uniforms(seed, start, count, _SLOT_BOB_LATE) < p_bob)
-    return {
-        "cls": cls,
-        "eve_conclusive": eve_conclusive,
-        "blocked": blocked,
-        "bob_raw_early": bob_raw_early,
-        "bob_raw_late": bob_raw_late,
-        "bob_early": bob_raw_early & ~blocked,
-        "bob_late": bob_raw_late & ~blocked,
-    }
+    p_click = -math.expm1(-channel_point(params, length_km).mu_b)
+    return _simulate(params.decoy_fraction, p_click, 0.0, 0.0, n_pulses, seed, first_pulse)
 
 
 def _check_plan(params: ProtocolParams, length_km: float, plan: ActiveAttackPlan) -> None:
     point = channel_point(params, length_km)
-    if plan.mu_e > point.mu_e_max * (1.0 + 1e-12) + 1e-15:
+    if _exceeds_budget(plan.mu_e, point.mu_e_max):
         raise ValueError(
             f"plan diverts {plan.mu_e}, above the loss budget "
             f"{point.mu_e_max} at {length_km} km"
@@ -346,19 +329,10 @@ def simulate_active_attack(
     if n_pulses < 1:
         raise ValueError(f"need at least one pulse, got {n_pulses}")
     _check_plan(params, length_km, plan)
+    p_bob = -math.expm1(-plan.mu_b_prime)
+    p_eve = -math.expm1(-plan.mu_e)
     beta = blocking_probability(plan)
-
-    stats = TrialStats(n_pulses=n_pulses, seed=seed & _MASK64)
-    for start, count in _chunks(first_pulse, n_pulses):
-        out = _active_chunk(params, plan, beta, seed, start, count)
-        _tally_class(
-            stats,
-            out["cls"],
-            out["eve_conclusive"],
-            out["blocked"],
-            out["bob_early"],
-            out["bob_late"],
-        )
+    stats = _simulate(params.decoy_fraction, p_bob, p_eve, beta, n_pulses, seed, first_pulse)
 
     conclusive = stats.bit0.eve_conclusive + stats.bit1.eve_conclusive + stats.decoy.eve_conclusive
     p_inc, se_inc = rate_with_error(n_pulses - conclusive, n_pulses)

@@ -27,6 +27,7 @@ from .attacks import (
 )
 from .core import ProtocolParams, attenuate, channel_point
 from .montecarlo import (
+    _BASELINE_STREAM,
     DistortionReport,
     decoy_distortion,
     derive_stream_seed,
@@ -50,6 +51,9 @@ __all__ = [
 
 _ATTACK_NAMES = ("bs", "active")
 _FORMATS = ("csv", "json")
+
+# Largest length grid a sweep builds; checked before anything is allocated.
+_MAX_GRID_POINTS = 10**6
 
 _COLUMNS = (
     "mu",
@@ -94,6 +98,7 @@ class SweepSpec:
             raise ValueError(f"l_step must be positive, got {self.l_step}")
         if self.l_max < self.l_min:
             raise ValueError(f"l_max {self.l_max} below l_min {self.l_min}")
+        _grid_intervals(self.l_min, self.l_max, self.l_step)
         if not self.attacks or any(a not in _ATTACK_NAMES for a in self.attacks):
             raise ValueError(f"attacks must be a non-empty subset of {_ATTACK_NAMES}")
         if self.format not in _FORMATS:
@@ -121,10 +126,28 @@ class SweepRow:
     mu_opt: float = math.nan
 
 
+def _grid_intervals(l_min: float, l_max: float, l_step: float) -> int:
+    """Number of steps in the inclusive grid l_min:l_max:l_step, checked against the cap."""
+    if not all(map(math.isfinite, (l_min, l_max, l_step))):
+        raise ValueError(f"length range {l_min}:{l_max}:{l_step} must be finite")
+    if not l_step > 0:
+        raise ValueError(f"length range {l_min}:{l_max}:{l_step} needs a positive step")
+    steps = (l_max - l_min) / l_step + 1e-9
+    if not steps < _MAX_GRID_POINTS:
+        raise ValueError(
+            f"length range {l_min}:{l_max}:{l_step} has more than "
+            f"{_MAX_GRID_POINTS} points, the cap on a sweep grid"
+        )
+    return int(math.floor(steps))
+
+
 def length_grid(l_min: float, l_max: float, l_step: float) -> List[float]:
-    """Inclusive arithmetic length grid; 0:150:1 yields 151 points."""
-    n = int(math.floor((l_max - l_min) / l_step + 1e-9))
-    return [l_min + k * l_step for k in range(n + 1)]
+    """Inclusive arithmetic length grid; 0:150:1 yields 151 points.
+
+    Raises ValueError for non-finite bounds, a step that is not positive
+    or a grid of more than _MAX_GRID_POINTS points, before building it.
+    """
+    return [l_min + k * l_step for k in range(_grid_intervals(l_min, l_max, l_step) + 1)]
 
 
 def _qber_row(mu: float, delta: float, f: float, length_km: float, attacks: Sequence[str]) -> SweepRow:
@@ -386,7 +409,8 @@ def run_montecarlo_validation(
     p_bob = -math.expm1(-point.mu_b)
 
     attacked = simulate_active_attack(params, length_km, plan, n_pulses, seed)
-    baseline = simulate_no_attack(params, length_km, n_pulses, derive_stream_seed(seed, 1))
+    baseline_seed = derive_stream_seed(seed, _BASELINE_STREAM)
+    baseline = simulate_no_attack(params, length_km, n_pulses, baseline_seed)
     distortion = decoy_distortion(params, length_km, plan, n_pulses, seed)
 
     base_info = baseline.info

@@ -9,10 +9,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cowsec.attacks import (
     ACTIVE_BEAM_SPLITTING,
     BEAM_SPLITTING,
+    FULLY_INSECURE_TOL,
     ActiveAttackPlan,
     active_attack,
     active_eve_info,
@@ -397,6 +400,22 @@ def test_margin_vanishes_when_fully_insecure():
     assert key_rate_margin(p, l_ins + 0.5) == 0.0
     assert key_rate_margin(p, l_ins + 40.0) == 0.0
     assert key_rate_margin(p, l_ins - 0.5) > 0.0
+    # just below the fully-insecure length at mu 0.05, i_ae is within
+    # FULLY_INSECURE_TOL of one: the report is fully insecure, so the margin is 0
+    report = active_attack(params(0.05), 95.68961614815218)
+    assert 1.0 - FULLY_INSECURE_TOL <= report.i_ae < 1.0 and report.fully_insecure
+    assert key_rate_margin(params(0.05), 95.68961614815218) == 0.0
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    mu=st.floats(min_value=0.02, max_value=1.0),
+    k=st.integers(min_value=-10_000, max_value=10_000),
+)
+def test_margin_is_zero_exactly_when_fully_insecure(mu, k):
+    p = params(mu)
+    length = fully_insecure_length(p) * (1.0 + k * 2.0**-52)
+    assert (key_rate_margin(p, length) == 0.0) == active_attack(p, length).fully_insecure
 
 
 @pytest.mark.parametrize("length", [10.0, 30.0, 50.0])

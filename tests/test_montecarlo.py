@@ -15,9 +15,10 @@ import pytest
 from cowsec.attacks import active_plan, optimal_mu_e
 from cowsec.core import ProtocolParams, channel_point
 from cowsec.montecarlo import (
+    ClassTally,
     InfeasibleBlockingError,
     TrialStats,
-    _active_chunk,
+    _pulse_outcomes,
     blocking_probability,
     decoy_distortion,
     derive_stream_seed,
@@ -166,6 +167,65 @@ def test_partition_independence():
     assert half1 + half2 == whole_base
 
 
+
+# Exact counts recorded before the chunk kernel was rewritten: any change
+# to the counter layout, the draw order or the tally shows up here. 2^20 + 3
+# pulses from index 5 cross a chunk boundary; seed 2^64 - 1 wraps the counter.
+GOLDEN_N = 2**20 + 3
+GOLDEN_SEED = 2**64 - 1
+
+
+def _golden(n, bit0, bit1, decoy):
+    return TrialStats(
+        n_pulses=n,
+        seed=GOLDEN_SEED,
+        bit0=ClassTally(*bit0),
+        bit1=ClassTally(*bit1),
+        decoy=ClassTally(*decoy),
+    )
+
+
+def test_golden_counts_no_attack():
+    stats = simulate_no_attack(params(0.2), 20.0, GOLDEN_N, GOLDEN_SEED, first_pulse=5)
+    assert stats == _golden(
+        GOLDEN_N,
+        (472309, 0, 0, 36558, 0, 0),
+        (471743, 0, 0, 36073, 0, 0),
+        (104527, 0, 0, 14737, 600, 0),
+    )
+
+
+@pytest.mark.parametrize(
+    "length, block_fraction, counts",
+    [
+        (
+            5.0,
+            0.0,
+            (
+                (472309, 18992, 0, 69955, 0, 2794),
+                (471743, 19030, 0, 69304, 0, 2727),
+                (104527, 8246, 0, 26200, 2221, 2236),
+            ),
+        ),
+        (
+            20.0,
+            0.1957539873555243,
+            (
+                (472309, 44755, 93832, 36548, 0, 4375),
+                (471743, 44890, 93124, 36101, 0, 4201),
+                (104527, 19012, 18694, 14696, 778, 3417),
+            ),
+        ),
+    ],
+)
+def test_golden_counts_active_attack(length, block_fraction, counts):
+    p = params(0.2)
+    plan = active_plan(p, length, optimal_mu_e(p, length))
+    assert plan.block_fraction == block_fraction
+    stats = simulate_active_attack(p, length, plan, GOLDEN_N, GOLDEN_SEED, first_pulse=5)
+    assert stats == _golden(GOLDEN_N, *counts)
+
+
 def test_merge_rejects_mismatched_seeds():
     p = params(0.2)
     a = simulate_no_attack(p, 20.0, 1000, 1)
@@ -186,10 +246,18 @@ def test_beam_splitter_arms_are_independent():
     # information pulses, 1% level (critical value 6.635 at one dof)
     p = params(0.2)
     plan = active_plan(p, 20.0, optimal_mu_e(p, 20.0))
-    out = _active_chunk(p, plan, blocking_probability(plan), SEED, 0, N)
-    is_info = out["cls"] != 2
-    eve = out["eve_conclusive"][is_info]
-    bob_raw = (out["bob_raw_early"] | out["bob_raw_late"])[is_info]
+    cls, eve, _, bob_raw_early, bob_raw_late = _pulse_outcomes(
+        p.decoy_fraction,
+        -math.expm1(-plan.mu_b_prime),
+        -math.expm1(-plan.mu_e),
+        blocking_probability(plan),
+        SEED,
+        0,
+        N,
+    )
+    is_info = cls != 2
+    eve = eve[is_info]
+    bob_raw = (bob_raw_early | bob_raw_late)[is_info]
     n = eve.size
     a = int((eve & bob_raw).sum())
     b = int((eve & ~bob_raw).sum())

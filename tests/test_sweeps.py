@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -76,6 +77,67 @@ def test_length_grid_is_inclusive():
     assert len(length_grid(0.0, 150.0, 1.0)) == 151
     assert len(length_grid(1.0, 100.0, 1.0)) == 100
     assert length_grid(0.0, 1.0, 0.25) == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+@pytest.mark.parametrize(
+    "bounds, fragment",
+    [
+        ((0.0, math.inf, 1.0), "finite"),
+        ((math.nan, 10.0, 1.0), "finite"),
+        ((0.0, 1.0, math.inf), "finite"),
+        ((0.0, 10.0, 0.0), "positive step"),
+        ((0.0, 10.0, -1.0), "positive step"),
+        ((0.0, 1e6, 1.0), "cap"),
+        ((0.0, 1e12, 1e-6), "cap"),
+        ((0.0, 1.0, 5e-324), "cap"),
+    ],
+)
+def test_length_grid_rejects_bad_and_huge_ranges(bounds, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        length_grid(*bounds)
+
+
+def test_length_grid_allows_the_cap():
+    assert len(length_grid(0.0, 999_999.0, 1.0)) == 1_000_000
+
+
+def test_library_sweeps_reject_infinite_lengths():
+    with pytest.raises(ValueError, match="finite"):
+        sweep_optimal_intensity(0.2, 0.1, 0.0, math.inf, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        SweepSpec(mu_list=(0.1,), l_max=math.inf)
+    with pytest.raises(ValueError, match="cap"):
+        SweepSpec(mu_list=(0.1,), l_max=1e12, l_step=1e-6)
+
+
+@pytest.mark.parametrize("command", ["qber-curves", "optimal-intensity"])
+def test_cli_rejects_huge_grid_without_allocating(command, tmp_path, capsys):
+    # about 1e18 rows: the guard must refuse before building anything
+    tracemalloc.start()
+    try:
+        code = cli.main([command, "--length", "0:1e12:1e-6", "--out", str(tmp_path / "x.csv")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20
+    assert "1000000 points" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_qber_row_margin_is_zero_inside_the_fully_insecure_band(tmp_path):
+    # just below the fully-insecure length at mu 0.05 the active report is
+    # fully insecure while 1 - i_ae is still a few 1e-13; the margin must be 0
+    out = tmp_path / "band.csv"
+    length = "95.68961614815218"
+    assert cli.main(
+        ["qber-curves", "--mu", "0.05", "--length", f"{length}:{length}:1", "--out", str(out)]
+    ) == 0
+    _, rows = read_sweep_csv(str(out))
+    assert len(rows) == 1
+    assert rows[0].fully_insecure
+    assert rows[0].i_ae_active < 1.0
+    assert rows[0].margin == 0.0
 
 
 # ---------------------------------------------------------------------------
