@@ -15,111 +15,40 @@ Modules:
     montecarlo  seeded pulse-level simulation and distortion reports
     sweeps      parameter sweeps, CSV/JSON tables, validation harness
     cli         command-line interface (``cowsec`` entry point)
+
+The package root re-exports the names the demos use; everything else is
+imported from its module, e.g. ``from cowsec.montecarlo import
+simulate_active_attack``.
 """
 
 __version__ = "0.1.0"
 
-from .core import (
-    ChannelPoint,
-    ProtocolParams,
-    attenuate,
-    binary_entropy,
-    binary_entropy_inverse,
-    channel_point,
-    coherent_pair_overlap,
-    holevo_two_pure,
-)
+from .core import ProtocolParams, channel_point
 from .attacks import (
-    ACTIVE_BEAM_SPLITTING,
-    BEAM_SPLITTING,
-    ActiveAttackPlan,
-    AttackReport,
-    OptimalIntensity,
     active_attack,
-    active_eve_info,
-    active_plan,
     bs_attack,
     critical_length,
     fully_insecure_length,
     key_rate_margin,
-    optimal_mu_e,
-    optimal_source_intensity,
-)
-from .montecarlo import (
-    ClassTally,
-    DistortionReport,
-    InfeasibleBlockingError,
-    PatternRow,
-    PulseClass,
-    TrialStats,
-    blocking_probability,
-    decoy_distortion,
-    detection_pattern_probabilities,
-    simulate_active_attack,
-    simulate_no_attack,
 )
 from .sweeps import (
-    CheckResult,
-    SweepRow,
     SweepSpec,
-    ValidationReport,
-    length_grid,
-    read_sweep_csv,
-    read_sweep_json,
     run_montecarlo_validation,
     sweep_optimal_intensity,
     sweep_qber_curves,
-    write_sweep,
 )
 
 __all__ = [
     "__version__",
-    # core
     "ProtocolParams",
-    "ChannelPoint",
     "channel_point",
-    "attenuate",
-    "binary_entropy",
-    "binary_entropy_inverse",
-    "coherent_pair_overlap",
-    "holevo_two_pure",
-    # attacks
-    "BEAM_SPLITTING",
-    "ACTIVE_BEAM_SPLITTING",
-    "ActiveAttackPlan",
-    "AttackReport",
-    "OptimalIntensity",
     "bs_attack",
-    "active_plan",
-    "active_eve_info",
-    "optimal_mu_e",
-    "critical_length",
     "active_attack",
+    "critical_length",
     "fully_insecure_length",
     "key_rate_margin",
-    "optimal_source_intensity",
-    # montecarlo
-    "PulseClass",
-    "ClassTally",
-    "TrialStats",
-    "PatternRow",
-    "DistortionReport",
-    "InfeasibleBlockingError",
-    "blocking_probability",
-    "simulate_no_attack",
-    "simulate_active_attack",
-    "detection_pattern_probabilities",
-    "decoy_distortion",
-    # sweeps
     "SweepSpec",
-    "SweepRow",
-    "CheckResult",
-    "ValidationReport",
-    "length_grid",
     "sweep_qber_curves",
     "sweep_optimal_intensity",
     "run_montecarlo_validation",
-    "write_sweep",
-    "read_sweep_csv",
-    "read_sweep_json",
 ]

@@ -146,7 +146,7 @@ def active_plan(params: ProtocolParams, length_km: float, mu_e: float) -> Active
     rounding when mu_e equals the full budget).
     """
     point = channel_point(params, length_km)
-    if mu_e < 0:
+    if not mu_e >= 0:
         raise ValueError(f"diverted intensity must be non-negative, got {mu_e}")
     if _exceeds_budget(mu_e, point.mu_e_max):
         raise ValueError(

@@ -124,7 +124,7 @@ def coherent_pair_overlap(mu_e: float) -> float:
     carries the pulse, so the inner product factorises into two
     coherent-vacuum overlaps of exp(-mu_e/2) each, giving exp(-mu_e).
     """
-    if mu_e < 0:
+    if not mu_e >= 0:
         raise ValueError(f"intensity must be non-negative, got {mu_e}")
     return math.exp(-mu_e)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -55,18 +55,10 @@ _FORMATS = ("csv", "json")
 # Largest length grid a sweep builds; checked before anything is allocated.
 _MAX_GRID_POINTS = 10**6
 
-_COLUMNS = (
-    "mu",
-    "length_km",
-    "qber_bs",
-    "qber_active",
-    "i_ae_active",
-    "mu_e_opt",
-    "block_fraction",
-    "fully_insecure",
-    "margin",
-    "mu_opt",
-)
+
+def _check_format(fmt: str) -> None:
+    if fmt not in _FORMATS:
+        raise ValueError(f"format must be one of {_FORMATS}, got {fmt}")
 
 
 @dataclass(frozen=True)
@@ -86,23 +78,12 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.mu_list:
             raise ValueError("mu_list must not be empty")
-        if any(mu <= 0 for mu in self.mu_list):
-            raise ValueError(f"all intensities must be positive, got {self.mu_list}")
-        if not self.delta > 0:
-            raise ValueError(f"attenuation coefficient must be positive, got {self.delta}")
-        if not 0.0 <= self.decoy_fraction < 1.0:
-            raise ValueError(f"decoy fraction must lie in [0, 1), got {self.decoy_fraction}")
-        if self.l_min < 0:
-            raise ValueError(f"l_min must be non-negative, got {self.l_min}")
-        if not self.l_step > 0:
-            raise ValueError(f"l_step must be positive, got {self.l_step}")
-        if self.l_max < self.l_min:
-            raise ValueError(f"l_max {self.l_max} below l_min {self.l_min}")
+        for mu in self.mu_list:
+            ProtocolParams(mu, self.decoy_fraction, self.delta)
         _grid_intervals(self.l_min, self.l_max, self.l_step)
         if not self.attacks or any(a not in _ATTACK_NAMES for a in self.attacks):
             raise ValueError(f"attacks must be a non-empty subset of {_ATTACK_NAMES}")
-        if self.format not in _FORMATS:
-            raise ValueError(f"format must be one of {_FORMATS}, got {self.format}")
+        _check_format(self.format)
 
 
 @dataclass(frozen=True)
@@ -126,26 +107,32 @@ class SweepRow:
     mu_opt: float = math.nan
 
 
+_COLUMNS = tuple(f.name for f in fields(SweepRow))
+
+
 def _grid_intervals(l_min: float, l_max: float, l_step: float) -> int:
     """Number of steps in the inclusive grid l_min:l_max:l_step, checked against the cap."""
+    grid = f"length range {l_min}:{l_max}:{l_step}"
     if not all(map(math.isfinite, (l_min, l_max, l_step))):
-        raise ValueError(f"length range {l_min}:{l_max}:{l_step} must be finite")
+        raise ValueError(f"{grid} must be finite")
     if not l_step > 0:
-        raise ValueError(f"length range {l_min}:{l_max}:{l_step} needs a positive step")
+        raise ValueError(f"{grid} needs a positive step")
+    if l_min < 0:
+        raise ValueError(f"{grid} starts below 0 km")
+    if l_max < l_min:
+        raise ValueError(f"{grid} ends below its start")
     steps = (l_max - l_min) / l_step + 1e-9
     if not steps < _MAX_GRID_POINTS:
-        raise ValueError(
-            f"length range {l_min}:{l_max}:{l_step} has more than "
-            f"{_MAX_GRID_POINTS} points, the cap on a sweep grid"
-        )
+        raise ValueError(f"{grid} has more than {_MAX_GRID_POINTS} points, the cap on a sweep grid")
     return int(math.floor(steps))
 
 
 def length_grid(l_min: float, l_max: float, l_step: float) -> List[float]:
     """Inclusive arithmetic length grid; 0:150:1 yields 151 points.
 
-    Raises ValueError for non-finite bounds, a step that is not positive
-    or a grid of more than _MAX_GRID_POINTS points, before building it.
+    Raises ValueError for non-finite bounds, a step that is not positive,
+    a negative start, an end below the start or a grid of more than
+    _MAX_GRID_POINTS points, before building it.
     """
     return [l_min + k * l_step for k in range(_grid_intervals(l_min, l_max, l_step) + 1)]
 
@@ -190,21 +177,10 @@ def sweep_qber_curves(spec: SweepSpec, workers: int = 1) -> List[SweepRow]:
 
 
 def _optimal_row(delta: float, f: float, length_km: float) -> SweepRow:
-    opt = optimal_source_intensity(delta, f, length_km)
-    params = ProtocolParams(mu=opt.mu, decoy_fraction=f, delta=delta)
-    report = active_attack(params, length_km)
-    return SweepRow(
-        mu=opt.mu,
-        length_km=length_km,
-        qber_bs=bs_attack(params, length_km).qber_critical,
-        qber_active=report.qber_critical,
-        i_ae_active=report.i_ae,
-        mu_e_opt=report.plan.mu_e,
-        block_fraction=report.plan.block_fraction,
-        fully_insecure=report.fully_insecure,
-        margin=opt.margin,
-        mu_opt=opt.mu,
-    )
+    # _qber_row's margin runs the same operations as key_rate_margin, so it
+    # equals optimal_source_intensity's margin bit for bit.
+    mu = optimal_source_intensity(delta, f, length_km).mu
+    return replace(_qber_row(mu, delta, f, length_km, _ATTACK_NAMES), mu_opt=mu)
 
 
 def sweep_optimal_intensity(
@@ -221,10 +197,7 @@ def sweep_optimal_intensity(
 
     workers is accepted and ignored, as in sweep_qber_curves.
     """
-    if l_min < 0 or l_step <= 0 or l_max < l_min:
-        raise ValueError(f"invalid length range {l_min}:{l_max}:{l_step}")
-    if fmt not in _FORMATS:
-        raise ValueError(f"format must be one of {_FORMATS}, got {fmt}")
+    _check_format(fmt)
     rows = [_optimal_row(delta, f, l) for l in length_grid(l_min, l_max, l_step)]
     if output_path is not None:
         config = {
@@ -265,13 +238,10 @@ def _spec_config(spec: SweepSpec, command: str) -> Dict[str, str]:
     }
 
 
-def _metadata(config: Dict[str, str]) -> Dict[str, str]:
-    return {"tool": "cowsec", "version": __version__, **config}
-
-
 def write_sweep(path: str, rows: Sequence[SweepRow], config: Dict[str, str], fmt: str = "csv") -> None:
-    """Write a sweep table with its resolved configuration in the header."""
-    meta = _metadata(config)
+    """Write a sweep table in fmt "csv" or "json", its configuration in the header."""
+    _check_format(fmt)
+    meta = {"tool": "cowsec", "version": __version__, **config}
     try:
         with open(path, "w", newline="") as fh:
             if fmt == "csv":
@@ -280,8 +250,7 @@ def write_sweep(path: str, rows: Sequence[SweepRow], config: Dict[str, str], fmt
                 writer = csv.writer(fh)
                 writer.writerow(_COLUMNS)
                 for row in rows:
-                    d = asdict(row)
-                    writer.writerow([_fmt_value(d[c]) for c in _COLUMNS])
+                    writer.writerow([_fmt_value(getattr(row, c)) for c in _COLUMNS])
             else:
                 payload = {"metadata": meta, "rows": [asdict(r) for r in rows]}
                 json.dump(payload, fh, indent=2)

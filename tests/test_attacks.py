@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cowsec.attacks import (
@@ -163,6 +163,8 @@ def test_active_plan_rejects_overdrawn_budget():
         active_plan(p, 20.0, point.mu_e_max + 1e-6)
     with pytest.raises(ValueError):
         active_plan(p, 20.0, -0.01)
+    with pytest.raises(ValueError):
+        active_plan(p, 20.0, math.nan)
 
 
 def test_active_plan_cap_reached_on_long_channel():
@@ -416,6 +418,43 @@ def test_margin_is_zero_exactly_when_fully_insecure(mu, k):
     p = params(mu)
     length = fully_insecure_length(p) * (1.0 + k * 2.0**-52)
     assert (key_rate_margin(p, length) == 0.0) == active_attack(p, length).fully_insecure
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    mu=st.floats(min_value=0.01, max_value=2.0),
+    length=st.floats(min_value=0.0, max_value=300.0),
+    share=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_active_plan_stays_inside_its_budget(mu, length, share):
+    p = params(mu)
+    mu_e_max = channel_point(p, length).mu_e_max
+    plan = active_plan(p, length, share * mu_e_max)
+    assert 0.0 <= plan.block_fraction <= 1.0 - plan.p_conc_inf
+    assert plan.mu_e <= mu_e_max
+
+
+_lengths = st.floats(min_value=0.0, max_value=800.0)
+_gaps = st.floats(min_value=0.0, max_value=50.0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(mu=st.floats(min_value=0.01, max_value=2.0), length=_lengths, gap=_gaps)
+def test_active_critical_qber_is_non_increasing_in_length(mu, length, gap):
+    p = params(mu)
+    longer = active_attack(p, length + gap).qber_critical
+    assert longer <= active_attack(p, length).qber_critical
+
+
+# binary_entropy is not monotone in the last ulp, so the bs curve can rise by
+# about 1e-15 between two lengths; the example is one such pair.
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(mu=st.floats(min_value=0.01, max_value=2.0), length=_lengths, gap=_gaps)
+@example(mu=1.0, length=673.5, gap=0.5)
+def test_bs_critical_qber_is_non_increasing_in_length_up_to_rounding(mu, length, gap):
+    p = params(mu)
+    longer = bs_attack(p, length + gap).qber_critical
+    assert longer <= bs_attack(p, length).qber_critical * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("length", [10.0, 30.0, 50.0])

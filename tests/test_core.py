@@ -271,6 +271,8 @@ def test_overlap_matches_fock_oracle(mu_e):
 def test_overlap_domain():
     with pytest.raises(ValueError):
         coherent_pair_overlap(-0.1)
+    with pytest.raises(ValueError):
+        coherent_pair_overlap(math.nan)
 
 
 def test_holevo_endpoints_exact():

@@ -8,7 +8,7 @@ import pytest
 
 import cowsec.cli as cli
 from cowsec.core import ProtocolParams
-from cowsec.attacks import key_rate_margin
+from cowsec.attacks import key_rate_margin, optimal_source_intensity
 from cowsec.sweeps import (
     SweepRow,
     SweepSpec,
@@ -66,6 +66,9 @@ def small_spec(tmp_path=None, fmt="csv", attacks=("bs", "active")):
         {"mu_list": (0.1,), "attacks": ()},
         {"mu_list": (0.1,), "attacks": ("bs", "ufo")},
         {"mu_list": (0.1,), "format": "xml"},
+        {"mu_list": (math.nan,)},
+        {"mu_list": (math.inf,)},
+        {"mu_list": (0.1,), "delta": math.inf},
     ],
 )
 def test_sweep_spec_validation(kwargs):
@@ -90,6 +93,8 @@ def test_length_grid_is_inclusive():
         ((0.0, 1e6, 1.0), "cap"),
         ((0.0, 1e12, 1e-6), "cap"),
         ((0.0, 1.0, 5e-324), "cap"),
+        ((10.0, 5.0, 1.0), "10.0:5.0:1.0 ends below its start"),
+        ((-3.0, 0.0, 1.0), "-3.0:0.0:1.0 starts below 0 km"),
     ],
 )
 def test_length_grid_rejects_bad_and_huge_ranges(bounds, fragment):
@@ -205,6 +210,13 @@ def test_seventeen_digit_rendering_round_trips_awkward_floats(tmp_path):
     assert rows_equal(back[0], awkward)
 
 
+def test_write_sweep_rejects_unknown_format(tmp_path):
+    path = tmp_path / "table.xml"
+    with pytest.raises(ValueError, match="xml"):
+        write_sweep(str(path), [], {"command": "test"}, "xml")
+    assert not path.exists()
+
+
 def test_write_sweep_unwritable_path_has_context():
     with pytest.raises(OSError, match="no/such/dir"):
         write_sweep("/no/such/dir/out.csv", [], {"command": "test"}, "csv")
@@ -228,6 +240,14 @@ def test_optimal_intensity_sweep_rows():
             mu = row.mu_opt + shift
             if 0.0 < mu <= 2.0:
                 assert row.margin >= key_rate_margin(params(mu), row.length_km) - 1e-12
+
+
+@pytest.mark.parametrize("delta", [0.2, 0.35])
+def test_optimal_intensity_sweep_margin_is_the_optimisers_margin(delta):
+    # the rows take their margin from the qber row builder, not from the optimiser
+    rows = sweep_optimal_intensity(delta, 0.1, 0.0, 300.0, 0.5)
+    for row in rows:
+        assert row.margin == optimal_source_intensity(delta, 0.1, row.length_km).margin
 
 
 def test_optimal_intensity_sweep_rejects_bad_range():
