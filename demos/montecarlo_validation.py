@@ -34,7 +34,7 @@ def main() -> None:
             f"{r.expected_attack:12.6f}  {r.observed_attack:9.6f}  {r.z_observed:+6.2f}{mark}"
         )
     print()
-    print("verdict:", "all checks passed" if report.passed else "SOME CHECKS FAILED")
+    print("verdict:", report.verdict)
     print("The flagged decoy double-click excess is the statistical fingerprint")
     print("the attack leaves: raised forward intensity makes decoys coincide")
     print("more often than the lossy channel alone would allow.")

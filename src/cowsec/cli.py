@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 validation failure, 2 invalid arguments,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from typing import Optional, Sequence, Tuple
@@ -30,6 +29,7 @@ from .core import ProtocolParams, channel_point
 from .montecarlo import InfeasibleBlockingError
 from .sweeps import (
     SweepSpec,
+    _json_text,
     run_montecarlo_validation,
     sweep_optimal_intensity,
     sweep_qber_curves,
@@ -185,7 +185,7 @@ def _cmd_attack_report(args: argparse.Namespace) -> int:
 def _cmd_validate_mc(args: argparse.Namespace) -> int:
     params = ProtocolParams(mu=args.mu, decoy_fraction=args.decoy_fraction, delta=args.delta)
     report = run_montecarlo_validation(params, args.length, args.pulses, args.seed)
-    text = json.dumps(report.to_jsonable(), indent=2) + "\n"
+    text = _json_text(report.to_jsonable())
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -194,14 +194,7 @@ def _cmd_validate_mc(args: argparse.Namespace) -> int:
                 fh.write(text)
         except OSError as exc:
             raise OSError(f"cannot write report to {args.out}: {exc}") from exc
-        if not report.passed:
-            failed = [c.name for c in report.checks if c.status == "fail"]
-            verdict = f"FAILED: {', '.join(failed)}"
-        elif not any(c.status == "pass" for c in report.checks):
-            verdict = "no check had the power to pass: all low_power, nothing was tested"
-        else:
-            verdict = "all checks passed"
-        print(f"wrote {args.out} ({verdict})")
+        print(f"wrote {args.out} ({report.verdict})")
     return 0 if report.passed else 1
 
 
@@ -223,7 +216,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except (ValueError, InfeasibleBlockingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # an infeasible plan comes from valid arguments: the validation failed
+        return 1 if isinstance(exc, InfeasibleBlockingError) else 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -97,7 +97,7 @@ def binary_entropy_inverse(y: float) -> float:
 
     Returns the unique q in [0, 1/2] with h2(q) = y. Plain bisection: the
     branch is monotone and the endpoints are flat, so derivative-based
-    root finders gain nothing here. Converges well below 1e-12 in q.
+    root finders gain nothing here. Stops when the bracket holds adjacent floats.
     """
     if not 0.0 <= y <= 1.0:
         raise ValueError(f"entropy value must lie in [0, 1], got {y}")
@@ -106,15 +106,14 @@ def binary_entropy_inverse(y: float) -> float:
     if y == 1.0:
         return 0.5
     lo, hi = 0.0, 0.5
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # interval narrowed to adjacent floats
-            break
+            return mid
         if binary_entropy(mid) < y:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 def coherent_pair_overlap(mu_e: float) -> float:

@@ -83,11 +83,14 @@ class InfeasibleBlockingError(RuntimeError):
     """The plan asks Eve to block more pulses than she finds inconclusive."""
 
 
-def _mix64(x: int) -> int:
-    x &= _MASK64
-    x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
-    x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
-    return (x ^ (x >> 31)) & _MASK64
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, in place on a uint64 array (arrays wrap silently, scalars warn)."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def derive_stream_seed(seed: int, stream: int) -> int:
@@ -96,17 +99,12 @@ def derive_stream_seed(seed: int, stream: int) -> int:
     The nonlinear finalizer keeps the derived stream's counter sequence
     from aliasing the parent's (a plain additive offset would).
     """
-    return _mix64((seed + (stream + 1) * _GOLDEN) & _MASK64)
+    return int(_mix(np.array([(seed + (stream + 1) * _GOLDEN) & _MASK64], np.uint64))[0])
 
 
 def _uniforms(base: np.ndarray, slot: int) -> np.ndarray:
     """Unit uniforms of one draw slot; base is the chunk's slot-0 counter."""
-    z = base + np.uint64((slot * _GOLDEN) & _MASK64)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
+    z = _mix(base + np.uint64((slot * _GOLDEN) & _MASK64))
     # Top 53 bits give a uniform double in [0, 1).
     z >>= np.uint64(11)
     return z.astype(np.float64) * 2.0**-53
@@ -155,12 +153,17 @@ class ClassTally:
         return self.sent - self.bob_click
 
 
+def _binomial_se(p: float, n: int) -> float:
+    """Standard error sqrt(p(1-p)/n) of a rate p over n trials; NaN when n is 0."""
+    return math.sqrt(p * (1.0 - p) / n) if n else math.nan
+
+
 def rate_with_error(count: int, total: int) -> Tuple[float, float]:
-    """Empirical rate and its binomial standard error sqrt(p(1-p)/n)."""
+    """Empirical rate and its binomial standard error."""
     if total <= 0:
         return math.nan, math.nan
     p = count / total
-    return p, math.sqrt(p * (1.0 - p) / total)
+    return p, _binomial_se(p, total)
 
 
 @dataclass
@@ -460,12 +463,9 @@ def decoy_distortion(
             e_att = expect_att[name][pattern]
             obs_att, se_att = rate_with_error(att_counts[pattern], att_tally.sent)
             obs_no, se_no = rate_with_error(base_counts[pattern], base_tally.sent)
-            se_model = (
-                math.sqrt(e_att * (1.0 - e_att) / att_tally.sent) if att_tally.sent else math.nan
-            )
-            diff_model = e_att - e_no
-            flagged = bool(att_tally.sent and se_model > 0 and abs(diff_model) > 5.0 * se_model)
-            if se_model and se_model > 0:
+            se_model = _binomial_se(e_att, att_tally.sent)
+            flagged = se_model > 0 and abs(e_att - e_no) > 5.0 * se_model
+            if se_model > 0:
                 z = (obs_att - e_no) / se_model
             else:
                 z = 0.0 if obs_att == e_no else math.inf

@@ -29,6 +29,7 @@ from .core import ProtocolParams, attenuate, channel_point
 from .montecarlo import (
     _BASELINE_STREAM,
     DistortionReport,
+    _binomial_se,
     decoy_distortion,
     derive_stream_seed,
     simulate_active_attack,
@@ -252,11 +253,24 @@ def write_sweep(path: str, rows: Sequence[SweepRow], config: Dict[str, str], fmt
                 for row in rows:
                     writer.writerow([_fmt_value(getattr(row, c)) for c in _COLUMNS])
             else:
-                payload = {"metadata": meta, "rows": [asdict(r) for r in rows]}
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
+                fh.write(_json_text({"metadata": meta, "rows": [asdict(r) for r in rows]}))
     except OSError as exc:
         raise OSError(f"cannot write sweep table to {path}: {exc}") from exc
+
+
+def _finite_or_none(value: object) -> object:
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_none(v) for v in value]
+    return value
+
+
+def _json_text(payload: object) -> str:
+    """Indented JSON with a trailing newline; NaN and +-inf (not JSON, RFC 8259) become null."""
+    return json.dumps(_finite_or_none(payload), indent=2, allow_nan=False) + "\n"
 
 
 def _row_from_strings(record: Dict[str, str]) -> SweepRow:
@@ -286,13 +300,16 @@ def read_sweep_csv(path: str) -> Tuple[Dict[str, str], List[SweepRow]]:
 
 
 def read_sweep_json(path: str) -> Tuple[Dict[str, str], List[SweepRow]]:
-    """Read back a JSON sweep table; inverse of write_sweep for fmt='json'."""
+    """Read back a JSON sweep table; inverse of write_sweep for fmt='json' (null reads as NaN)."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
     except OSError as exc:
         raise OSError(f"cannot read sweep table from {path}: {exc}") from exc
-    rows = [SweepRow(**record) for record in payload["rows"]]
+    rows = [
+        SweepRow(**{k: math.nan if v is None else v for k, v in record.items()})
+        for record in payload["rows"]
+    ]
     return payload["metadata"], rows
 
 
@@ -325,7 +342,21 @@ class ValidationReport:
     plan: Dict[str, float]
     checks: Tuple[CheckResult, ...]
     distortion: DistortionReport
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        """True when no check failed; low-power checks do not count as failures."""
+        return all(c.status != "fail" for c in self.checks)
+
+    @property
+    def verdict(self) -> str:
+        """One-line summary: the failed checks, a lack of power, or a pass."""
+        failed = [c.name for c in self.checks if c.status == "fail"]
+        if failed:
+            return f"FAILED: {', '.join(failed)}"
+        if not any(c.status == "pass" for c in self.checks):
+            return "no check had the power to pass: all low_power, nothing was tested"
+        return "all checks passed"
 
     def to_jsonable(self) -> Dict[str, object]:
         return {
@@ -345,13 +376,9 @@ class ValidationReport:
 
 def _make_check(name: str, count: int, n_eff: int, expected: float) -> CheckResult:
     observed = count / n_eff if n_eff else math.nan
-    stderr = math.sqrt(expected * (1.0 - expected) / n_eff) if n_eff else math.nan
-    low_power = (
-        n_eff == 0
-        or n_eff * expected < _MIN_EXPECTED_COUNT
-        or n_eff * (1.0 - expected) < _MIN_EXPECTED_COUNT
-    )
-    z = (observed - expected) / stderr if stderr and stderr > 0 else math.nan
+    stderr = _binomial_se(expected, n_eff)
+    low_power = n_eff * min(expected, 1.0 - expected) < _MIN_EXPECTED_COUNT
+    z = (observed - expected) / stderr if stderr > 0 else math.nan
     if low_power:
         status = "low_power"
     else:
@@ -413,14 +440,7 @@ def run_montecarlo_validation(
             ),
         )
 
-    config: Dict[str, object] = {
-        "mu": params.mu,
-        "decoy_fraction": params.decoy_fraction,
-        "delta": params.delta,
-        "length_km": length_km,
-        "n_pulses": n_pulses,
-        "seed": seed,
-    }
+    config = {**asdict(params), "length_km": length_km, "n_pulses": n_pulses, "seed": seed}
     plan_dict: Dict[str, float] = {
         "mu_e": plan.mu_e,
         "mu_b_prime": plan.mu_b_prime,
@@ -430,7 +450,6 @@ def run_montecarlo_validation(
         "p_conc_total": plan.p_conc_total,
         "i_ae": i_ae,
     }
-    passed = all(c.status != "fail" for c in checks)
     return ValidationReport(
-        config=config, plan=plan_dict, checks=tuple(checks), distortion=distortion, passed=passed
+        config=config, plan=plan_dict, checks=tuple(checks), distortion=distortion
     )

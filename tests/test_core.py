@@ -241,6 +241,12 @@ def test_entropy_round_trip_backward():
         assert abs(binary_entropy_inverse(binary_entropy(q)) - q) <= 1e-10
 
 
+@pytest.mark.parametrize("y", [1e-60, 1e-100, 1e-300])
+def test_entropy_inverse_resolves_tiny_values(y):
+    # the bisection must not stop before its bracket holds adjacent floats
+    assert binary_entropy(binary_entropy_inverse(y)) == pytest.approx(y, rel=1e-12, abs=0)
+
+
 @pytest.mark.parametrize("y", [-1e-9, 1.0 + 1e-9])
 def test_entropy_inverse_domain(y):
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ coincide within tolerance.
 """
 
 import math
+import random
 
 import pytest
 
@@ -239,6 +240,24 @@ def test_derived_stream_seed_is_distinct_and_stable():
     assert derive_stream_seed(SEED, 1) != SEED
     assert derive_stream_seed(SEED, 1) != derive_stream_seed(SEED, 2)
     assert 0 <= derive_stream_seed(SEED, 1) < 2**64
+
+
+def splitmix64_stream_seed(seed, stream):
+    # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) on Python ints: the
+    # counter seed + (stream+1)*golden, then the finalizer
+    mask = (1 << 64) - 1
+    x = (seed + (stream + 1) * 0x9E3779B97F4A7C15) & mask
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+    return x ^ (x >> 31)
+
+
+@pytest.mark.parametrize("stream", [0, 1, 5])
+def test_derived_stream_seed_matches_splitmix64_reference(stream):
+    rng = random.Random(2014)
+    seeds = [0, -1, 2**64 - 1, 2**70] + [rng.randrange(-(2**80), 2**80) for _ in range(1000)]
+    for seed in seeds:
+        assert derive_stream_seed(seed, stream) == splitmix64_stream_seed(seed, stream), seed
 
 
 def test_beam_splitter_arms_are_independent():

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,7 @@ import cowsec.cli as cli
 from cowsec.core import ProtocolParams
 from cowsec.attacks import key_rate_margin, optimal_source_intensity
 from cowsec.sweeps import (
+    CheckResult,
     SweepRow,
     SweepSpec,
     length_grid,
@@ -291,6 +293,18 @@ def test_validation_small_sample_marks_low_power():
     assert report.passed  # low power is not failure
 
 
+def test_validation_verdict_names_each_outcome():
+    report = run_montecarlo_validation(ProtocolParams(mu=0.2), 20.0, 1_000_000, 42)
+    assert report.verdict == "all checks passed"
+    weak = run_montecarlo_validation(ProtocolParams(mu=0.1), 200.0, 100, 42)
+    assert {c.status for c in weak.checks} == {"low_power"}
+    assert weak.verdict == "no check had the power to pass: all low_power, nothing was tested"
+    bad = CheckResult("attack_blocked_fraction", 0.2, 0.1, 0.001, 100.0, "fail")
+    failed = replace(report, checks=report.checks[:2] + (bad,))
+    assert not failed.passed
+    assert failed.verdict == "FAILED: attack_blocked_fraction"
+
+
 def test_validation_without_decoys_skips_decoy_check():
     report = run_montecarlo_validation(
         ProtocolParams(mu=0.2, decoy_fraction=0.0), 20.0, 100_000, 42
@@ -409,10 +423,43 @@ def test_cli_validate_mc_verdict_names_missing_power(tmp_path, capsys):
     assert {c["status"] for c in json.loads(out.read_text())["checks"]} == {"low_power"}
 
 
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # mu_opt is NaN in every qber-curves row
+        ["qber-curves", "--mu", "0.2", "--length", "0:30:10", "--format", "json"],
+        # the i_ae proxy check has a zero stderr, so its z is NaN
+        ["validate-mc", "--pulses", "100", "--length", "200", "--mu", "0.1"],
+    ],
+)
+def test_cli_json_outputs_parse_strictly(argv, tmp_path):
+    out = tmp_path / "out.json"
+    cli.main(argv + ["--out", str(out)])
+    strict_json(out.read_text())
+
+
+def test_cli_validate_mc_infeasible_plan_exits_1(tmp_path, capsys):
+    # valid arguments whose plan blocks more than Eve finds inconclusive:
+    # a failed validation, not a bad argument, and no report is written
+    out = tmp_path / "r.json"
+    argv = ["validate-mc", "--length", "100", "--pulses", "262144", "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert "inconclusive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_validate_mc_failure_exit_code(monkeypatch, tmp_path, capsys):
     class FailingReport:
         passed = False
         checks = ()
+        verdict = "FAILED: stand-in"
 
         def to_jsonable(self):
             return {"passed": False}
