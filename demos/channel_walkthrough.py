@@ -31,7 +31,7 @@ def describe(params: ProtocolParams, length_km: float) -> None:
     plan = act.plan
     print(
         f"    active variant:  diverts {plan.mu_e:.4f}, forwards {plan.mu_b_prime:.4f}, "
-        f"blocks {plan.block_fraction:.1%} of pulses"
+        f"blocks {plan.block_fraction:.1%} of information pulses"
     )
     if act.fully_insecure:
         print("                     I_AE = 1 bit, no added errors needed: no secure key at all")

@@ -63,10 +63,10 @@ class ActiveAttackPlan:
     """Eve's parameter choice for the active beam-splitting attack.
 
     mu_e is the diverted intensity, mu_b_prime the intensity forwarded to
-    Bob over the lossless line. block_fraction is the share of all sent
-    pulses Eve suppresses, capped at her inconclusive probability on
-    information states; block_fraction_raw keeps the uncapped value of
-    the intensity-budget balance for diagnostics.
+    Bob over the lossless line. block_fraction b is the share of
+    information pulses Eve suppresses, capped at her inconclusive
+    probability on them, 1 - p_conc_inf; block_fraction_raw keeps the
+    uncapped value of the intensity-budget balance for diagnostics.
     """
 
     mu_e: float

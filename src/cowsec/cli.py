@@ -26,7 +26,6 @@ from .attacks import (
     key_rate_margin,
 )
 from .core import ProtocolParams, channel_point
-from .montecarlo import InfeasibleBlockingError
 from .sweeps import (
     SweepSpec,
     _json_text,
@@ -214,10 +213,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, InfeasibleBlockingError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # an infeasible plan comes from valid arguments: the validation failed
-        return 1 if isinstance(exc, InfeasibleBlockingError) else 2
+        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -116,6 +116,11 @@ def binary_entropy_inverse(y: float) -> float:
             hi = mid
 
 
+def _binomial_se(p: float, n: int) -> float:
+    """Standard error sqrt(p(1-p)/n) of a rate p over n trials; NaN when n is 0."""
+    return math.sqrt(p * (1.0 - p) / n) if n else math.nan
+
+
 def coherent_pair_overlap(mu_e: float) -> float:
     """Overlap of the two single-slot coherent states an eavesdropper holds.
 

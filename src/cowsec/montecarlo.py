@@ -5,7 +5,8 @@ state of intensity mu is vacuum with probability exp(-mu), so each
 detector slot is an exact Bernoulli(1 - exp(-mu)) draw rather than an
 approximation. The simulator cross-validates the analytic attack
 formulas and exposes the detection-pattern distortion that active
-blocking imprints on the decoy statistics.
+blocking imprints on the decoy statistics. As in the closed forms, a
+plan's block fraction b is the share of information pulses Eve blocks.
 
 Randomness is counter-based: every uniform is SplitMix64(seed, pulse
 index, draw slot), so a pulse's outcome depends only on the seed and its
@@ -31,7 +32,7 @@ from typing import Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from .attacks import ActiveAttackPlan, _exceeds_budget
-from .core import ProtocolParams, channel_point
+from .core import ProtocolParams, _binomial_se, channel_point
 
 __all__ = [
     "PulseClass",
@@ -39,7 +40,6 @@ __all__ = [
     "TrialStats",
     "PatternRow",
     "DistortionReport",
-    "InfeasibleBlockingError",
     "blocking_probability",
     "derive_stream_seed",
     "simulate_no_attack",
@@ -79,10 +79,6 @@ class PulseClass(IntEnum):
     DECOY = 2  # pulse in both slots
 
 
-class InfeasibleBlockingError(RuntimeError):
-    """The plan asks Eve to block more pulses than she finds inconclusive."""
-
-
 def _mix(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer, in place on a uint64 array (arrays wrap silently, scalars warn)."""
     z ^= z >> np.uint64(30)
@@ -111,19 +107,19 @@ def _uniforms(base: np.ndarray, slot: int) -> np.ndarray:
 
 
 def blocking_probability(plan: ActiveAttackPlan) -> float:
-    """Per-inconclusive-pulse blocking probability realising the plan's budget.
+    """Per-inconclusive-pulse blocking probability realising the plan's b.
 
     Eve blocks only pulses that were inconclusive for her, i.i.d. with
-    probability beta = b / (1 - p_conc_total), decoys included: she
-    cannot tell a blocked decoy from a blocked information pulse without
-    revealing herself. The expected blocked share of all sent pulses is
-    then exactly the plan's block_fraction. Clipped at one; feasibility
-    against the realised inconclusive fraction is checked by the
-    simulator.
+    probability beta = b / (1 - p_conc_inf), decoys included: she cannot
+    tell an inconclusive decoy from an inconclusive information pulse.
+    The expected blocked share of information pulses is then exactly the
+    plan's block_fraction b, and the cap b <= 1 - p_conc_inf keeps beta
+    at most one. Zero when nothing is blocked, also where p_conc_inf
+    rounds to one.
     """
     if plan.block_fraction == 0.0:
         return 0.0
-    return min(1.0, plan.block_fraction / (1.0 - plan.p_conc_total))
+    return plan.block_fraction / (1.0 - plan.p_conc_inf)
 
 
 @dataclass
@@ -151,11 +147,6 @@ class ClassTally:
     @property
     def bob_no_click(self) -> int:
         return self.sent - self.bob_click
-
-
-def _binomial_se(p: float, n: int) -> float:
-    """Standard error sqrt(p(1-p)/n) of a rate p over n trials; NaN when n is 0."""
-    return math.sqrt(p * (1.0 - p) / n) if n else math.nan
 
 
 def rate_with_error(count: int, total: int) -> Tuple[float, float]:
@@ -196,22 +187,6 @@ class TrialStats:
     def info(self) -> ClassTally:
         """Combined tally of the two information classes."""
         return self.bit0 + self.bit1
-
-    @property
-    def blocked_total(self) -> int:
-        return self.bit0.blocked + self.bit1.blocked + self.decoy.blocked
-
-    def rates(self) -> Dict[str, Tuple[float, float]]:
-        """Headline rates with standard errors."""
-        info = self.info
-        out = {
-            "info_bob_click": rate_with_error(info.bob_click, info.sent),
-            "info_eve_conclusive": rate_with_error(info.eve_conclusive, info.sent),
-            "blocked_fraction": rate_with_error(self.blocked_total, self.n_pulses),
-            "decoy_double_click": rate_with_error(self.decoy.bob_double_click, self.decoy.sent),
-            "i_ae_proxy": rate_with_error(info.eve_conclusive_bob_click, info.bob_click),
-        }
-        return out
 
 
 def _pulse_outcomes(
@@ -307,6 +282,11 @@ def _check_plan(params: ProtocolParams, length_km: float, plan: ActiveAttackPlan
         )
     if abs(plan.mu_b_prime - (params.mu - plan.mu_e)) > 1e-9:
         raise ValueError("plan's forwarded intensity does not match mu - mu_e")
+    if not 0.0 <= plan.block_fraction <= 1.0 - plan.p_conc_inf:
+        raise ValueError(
+            f"plan blocks {plan.block_fraction} of information pulses, outside "
+            f"[0, 1 - p_conc_inf] = [0, {1.0 - plan.p_conc_inf}]"
+        )
 
 
 def simulate_active_attack(
@@ -321,13 +301,10 @@ def simulate_active_attack(
 
     The beam splitter sends independent coherent pulses of intensity mu_e
     to Eve and mu_b_prime toward Bob. Eve measures both slots, blocks
-    inconclusive pulses i.i.d. per blocking_probability, and forwards the
-    rest losslessly.
-
-    Raises InfeasibleBlockingError when the plan's blocked fraction
-    exceeds the realised inconclusive fraction by more than five standard
-    errors, i.e. the budget cannot be met by blocking inconclusive pulses
-    alone.
+    inconclusive pulses i.i.d. per blocking_probability, so that a share
+    b of information pulses is blocked on average, and forwards the rest
+    losslessly. Raises ValueError for a plan outside the loss budget or
+    with b above the cap 1 - p_conc_inf.
     """
     if n_pulses < 1:
         raise ValueError(f"need at least one pulse, got {n_pulses}")
@@ -335,16 +312,7 @@ def simulate_active_attack(
     p_bob = -math.expm1(-plan.mu_b_prime)
     p_eve = -math.expm1(-plan.mu_e)
     beta = blocking_probability(plan)
-    stats = _simulate(params.decoy_fraction, p_bob, p_eve, beta, n_pulses, seed, first_pulse)
-
-    conclusive = stats.bit0.eve_conclusive + stats.bit1.eve_conclusive + stats.decoy.eve_conclusive
-    p_inc, se_inc = rate_with_error(n_pulses - conclusive, n_pulses)
-    if plan.block_fraction > p_inc + 5.0 * se_inc:
-        raise InfeasibleBlockingError(
-            f"plan blocks {plan.block_fraction:.6f} of pulses but only "
-            f"{p_inc:.6f} (+/- {se_inc:.6f}) were inconclusive for Eve"
-        )
-    return stats
+    return _simulate(params.decoy_fraction, p_bob, p_eve, beta, n_pulses, seed, first_pulse)
 
 
 def detection_pattern_probabilities(
@@ -357,8 +325,9 @@ def detection_pattern_probabilities(
     With plan=None these are the plain lossy-channel values at mu_b.
     Under a plan they account for the raised forward intensity and the
     per-class blocking rate of the inconclusive-only policy (a blocked
-    pulse shows as no-click). Keyed [class][pattern] with patterns
-    no_click / single / double.
+    pulse shows as no-click): the plan's b on information pulses, and
+    exp(-2 mu_e) * beta on decoys, which Eve finds inconclusive less
+    often. Keyed [class][pattern] with patterns no_click / single / double.
     """
     point = channel_point(params, length_km)
     if plan is None:
@@ -366,10 +335,9 @@ def detection_pattern_probabilities(
         block_info = block_decoy = 0.0
     else:
         _check_plan(params, length_km, plan)
-        beta = blocking_probability(plan)
         p = -math.expm1(-plan.mu_b_prime)
-        block_info = math.exp(-plan.mu_e) * beta
-        block_decoy = math.exp(-2.0 * plan.mu_e) * beta
+        block_info = plan.block_fraction
+        block_decoy = math.exp(-2.0 * plan.mu_e) * blocking_probability(plan)
 
     info = {
         "no_click": block_info + (1.0 - block_info) * (1.0 - p),

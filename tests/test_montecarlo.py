@@ -2,12 +2,12 @@
 
 Binomial comparisons run at 4 sigma with one million pulses. Targets for
 the attacked runs are the closed forms of the inconclusive-only blocking
-policy (per-class blocking rates differ from the overall budget once
-decoys are in the blockable pool); the idealised budget identities are
-additionally asserted at the moderate working point where the two
-coincide within tolerance.
+policy: information pulses are blocked at the plan's b, decoys, which Eve
+finds inconclusive less often, at a lower rate. The idealised budget
+identities are additionally asserted at a moderate working point.
 """
 
+import dataclasses
 import math
 import random
 
@@ -17,7 +17,6 @@ from cowsec.attacks import active_plan, optimal_mu_e
 from cowsec.core import ProtocolParams, channel_point
 from cowsec.montecarlo import (
     ClassTally,
-    InfeasibleBlockingError,
     TrialStats,
     _pulse_outcomes,
     blocking_probability,
@@ -45,13 +44,12 @@ def assert_within_4_sigma(count, total, expected, label=""):
 def policy_expectations(p: ProtocolParams, length_km: float, plan):
     """Closed-form per-pulse rates implied by the blocking policy."""
     beta = blocking_probability(plan)
-    survive_info = 1.0 - math.exp(-plan.mu_e) * beta
+    info_block = math.exp(-plan.mu_e) * beta  # inconclusive, then blocked
     p_fwd = -math.expm1(-plan.mu_b_prime)
     return {
-        "info_block": math.exp(-plan.mu_e) * beta,
-        "info_bob_click": survive_info * p_fwd,
-        "i_ae_proxy": plan.p_conc_inf / survive_info,
-        "blocked_overall": (1.0 - plan.p_conc_total) * beta,
+        "info_block": info_block,
+        "info_bob_click": (1.0 - info_block) * p_fwd,
+        "i_ae_proxy": plan.p_conc_inf / (1.0 - info_block),
     }
 
 
@@ -80,7 +78,7 @@ def test_no_attack_rates():
     assert_within_4_sigma(stats.bit0.sent, N, 0.45, "bit0 fraction")
     # information states occupy one slot, they can never double-click
     assert info.bob_double_click == 0
-    assert info.eve_conclusive == 0 and stats.blocked_total == 0
+    assert all(t.eve_conclusive == t.blocked == 0 for _, t in stats.classes())
 
 
 def test_no_attack_without_decoys():
@@ -107,7 +105,8 @@ def test_active_attack_grid_rates(mu, length):
     assert_within_4_sigma(
         stats.decoy.eve_conclusive, stats.decoy.sent, plan.p_conc_cont, "eve conclusive decoy"
     )
-    assert_within_4_sigma(stats.blocked_total, N, plan.block_fraction, "blocked budget")
+    assert expect["info_block"] == pytest.approx(plan.block_fraction, rel=1e-12, abs=1e-15)
+    assert_within_4_sigma(info.blocked, info.sent, plan.block_fraction, "blocked info share")
     assert_within_4_sigma(info.bob_click, info.sent, expect["info_bob_click"], "bob info click")
     assert_within_4_sigma(
         info.eve_conclusive_bob_click, info.bob_click, expect["i_ae_proxy"], "i_ae proxy"
@@ -122,8 +121,8 @@ def test_active_attack_grid_rates(mu, length):
 
 
 def test_active_attack_budget_identities_at_moderate_point():
-    # at (mu=0.2, l=20) the class-blind policy and the idealised budget
-    # agree within a fraction of a sigma, so the textbook identities hold
+    # the policy blocks information pulses at b, so the textbook budget
+    # identities hold
     p = params(0.2)
     plan = active_plan(p, 20.0, optimal_mu_e(p, 20.0))
     stats = simulate_active_attack(p, 20.0, plan, N, SEED)
@@ -169,8 +168,8 @@ def test_partition_independence():
 
 
 
-# Exact counts recorded before the chunk kernel was rewritten: any change
-# to the counter layout, the draw order or the tally shows up here. 2^20 + 3
+# Exact counts: any change to the counter layout, the draw order, the
+# blocking probability or the tally shows up here. 2^20 + 3
 # pulses from index 5 cross a chunk boundary; seed 2^64 - 1 wraps the counter.
 GOLDEN_N = 2**20 + 3
 GOLDEN_SEED = 2**64 - 1
@@ -212,9 +211,9 @@ def test_golden_counts_no_attack():
             20.0,
             0.1957539873555243,
             (
-                (472309, 44755, 93832, 36548, 0, 4375),
-                (471743, 44890, 93124, 36101, 0, 4201),
-                (104527, 19012, 18694, 14696, 778, 3417),
+                (472309, 44755, 92943, 36630, 0, 4375),
+                (471743, 44890, 92198, 36176, 0, 4201),
+                (104527, 19012, 18526, 14717, 779, 3417),
             ),
         ),
     ],
@@ -287,17 +286,30 @@ def test_beam_splitter_arms_are_independent():
 
 
 # ---------------------------------------------------------------------------
-# infeasible blocking
+# blocking at the cap
 
 
-def test_infeasible_blocking_raises_with_decoys():
-    # a capped plan with decoys in the pool needs beta > 1: the budget
-    # exceeds what inconclusive-only blocking can deliver
+def test_capped_plan_with_decoys_blocks_everything_inconclusive():
+    # b sits at its cap 1 - p_conc_inf: every inconclusive pulse is
+    # blocked, decoys included, and Eve knows every delivered sifted bit
     p = params(0.5)
     plan = active_plan(p, 60.0, optimal_mu_e(p, 60.0))
-    assert plan.block_fraction > 1.0 - plan.p_conc_total
-    with pytest.raises(InfeasibleBlockingError):
-        simulate_active_attack(p, 60.0, plan, 200_000, SEED)
+    assert plan.block_fraction == 1.0 - plan.p_conc_inf
+    assert blocking_probability(plan) == 1.0
+    stats = simulate_active_attack(p, 60.0, plan, 200_000, SEED)
+    for _, tally in stats.classes():
+        assert tally.blocked == tally.sent - tally.eve_conclusive
+    info = stats.info
+    assert info.eve_conclusive_bob_click == info.bob_click > 0
+
+
+@pytest.mark.parametrize("excess", [1e-3, math.nan])
+def test_plan_above_blocking_cap_is_rejected(excess):
+    p = params(0.2)
+    plan = active_plan(p, 60.0, optimal_mu_e(p, 60.0))
+    bad = dataclasses.replace(plan, block_fraction=1.0 - plan.p_conc_inf + excess)
+    with pytest.raises(ValueError, match="information pulses"):
+        simulate_active_attack(p, 60.0, bad, 1000, SEED)
 
 
 def test_capped_plan_without_decoys_blocks_everything_inconclusive():
@@ -306,7 +318,7 @@ def test_capped_plan_without_decoys_blocks_everything_inconclusive():
     assert blocking_probability(plan) == 1.0
     stats = simulate_active_attack(p, 60.0, plan, 200_000, SEED)
     info = stats.info
-    assert stats.blocked_total == 200_000 - info.eve_conclusive
+    assert info.blocked == info.sent - info.eve_conclusive
     # every delivered sifted bit is known to Eve
     assert info.eve_conclusive_bob_click == info.bob_click
 
@@ -379,15 +391,6 @@ def test_distortion_report_without_decoys_has_no_decoy_rows():
 
 # ---------------------------------------------------------------------------
 # tally bookkeeping
-
-
-def test_rates_are_probabilities_with_errors():
-    p = params(0.2)
-    plan = active_plan(p, 20.0, optimal_mu_e(p, 20.0))
-    stats = simulate_active_attack(p, 20.0, plan, 100_000, SEED)
-    for name, (value, err) in stats.rates().items():
-        assert 0.0 <= value <= 1.0, name
-        assert err >= 0.0, name
 
 
 def test_trial_stats_merge_adds_counts():

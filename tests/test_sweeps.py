@@ -2,14 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import cowsec.cli as cli
 from cowsec.core import ProtocolParams
-from cowsec.attacks import key_rate_margin, optimal_source_intensity
+from cowsec.attacks import fully_insecure_length, key_rate_margin, optimal_source_intensity
 from cowsec.sweeps import (
     CheckResult,
     SweepRow,
@@ -305,6 +309,17 @@ def test_validation_verdict_names_each_outcome():
     assert failed.verdict == "FAILED: attack_blocked_fraction"
 
 
+@pytest.mark.parametrize("f", [0.1, 0.5])
+def test_validation_passes_at_every_length(f):
+    # from 0 km to a third beyond the fully-insecure length, blocking
+    # cap included, the simulator agrees with every closed form
+    p = ProtocolParams(mu=0.2, decoy_fraction=f)
+    l_star = fully_insecure_length(p)
+    for k in (0, 3, 6, 8, 10, 11, 12, 14, 16):
+        report = run_montecarlo_validation(p, k / 12 * l_star, 2**18, 42)
+        assert report.passed, (k, report.verdict)
+
+
 def test_validation_without_decoys_skips_decoy_check():
     report = run_montecarlo_validation(
         ProtocolParams(mu=0.2, decoy_fraction=0.0), 20.0, 100_000, 42
@@ -445,14 +460,30 @@ def test_cli_json_outputs_parse_strictly(argv, tmp_path):
     strict_json(out.read_text())
 
 
-def test_cli_validate_mc_infeasible_plan_exits_1(tmp_path, capsys):
-    # valid arguments whose plan blocks more than Eve finds inconclusive:
-    # a failed validation, not a bad argument, and no report is written
+@pytest.mark.parametrize(
+    "args",
+    [["--length", "100", "--pulses", "262144"], ["--mu", "50", "--pulses", "1000"]],
+)
+def test_cli_validate_mc_plan_at_blocking_cap_passes(args, tmp_path):
+    # plans that block every pulse Eve finds inconclusive, decoys included
     out = tmp_path / "r.json"
-    argv = ["validate-mc", "--length", "100", "--pulses", "262144", "--out", str(out)]
-    assert cli.main(argv) == 1
-    assert "inconclusive" in capsys.readouterr().err
-    assert not out.exists()
+    assert cli.main(["validate-mc", *args, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["passed"]
+    assert report["plan"]["block_fraction"] == 1.0 - report["plan"]["p_conc_inf"]
+
+
+def test_closed_form_path_does_not_import_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, cowsec, cowsec.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_cli_validate_mc_failure_exit_code(monkeypatch, tmp_path, capsys):
