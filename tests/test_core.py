@@ -7,10 +7,15 @@ from first principles and never call the code under test.
 """
 
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cowsec.core
 from cowsec.core import (
     ChannelPoint,
     ProtocolParams,
@@ -80,6 +85,59 @@ def entropy_inverse_oracle(y: float, iterations: int = 80) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def adjacent_float_bisection(y: float, h2=binary_entropy) -> float:
+    """Bit-exact oracle: bisection of h2(mid) < y from [0, 1/2] down to adjacent floats.
+
+    This is binary_entropy_inverse as it was before it started the bisection
+    from a cell found by Newton's method.
+    """
+    if y == 0.0:
+        return 0.0
+    if y == 1.0:
+        return 0.5
+    lo, hi = 0.0, 0.5
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if h2(mid) < y:
+            lo = mid
+        else:
+            hi = mid
+
+
+def entropy_values(stratum: str, n: int, seed: int) -> list:
+    """n seeded values of y in [0, 1] from one stratum."""
+    rng = random.Random(f"{stratum}:{seed}")
+    if stratum == "uniform":
+        return [rng.random() for _ in range(n)]
+    if stratum == "log_uniform":
+        return [10.0 ** -rng.uniform(0.0, 300.0) for _ in range(n)]
+    if stratum == "near_one":
+        return [1.0 - 10.0 ** -rng.uniform(0.0, 16.0) for _ in range(n)]
+    if stratum == "subnormal":
+        return [rng.random() * sys.float_info.min for _ in range(n)]
+    assert stratum == "dyadic", stratum
+    # h2 at x = k * 2^-m (k odd), a bisection midpoint, and at the four
+    # floats on each side of it: the band around the root straddles the
+    # midpoint, so the cell is coarse or its check fails.
+    ys = []
+    while len(ys) < n:
+        m = rng.randint(2, 60)
+        x = (2 * rng.randrange(min(2 ** (m - 2), 2**52)) + 1) * 2.0**-m
+        below = above = x
+        ys.append(binary_entropy(x))
+        for _ in range(4):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+            ys += [binary_entropy(below), binary_entropy(above)]
+    return ys[:n]
+
+
+def inverse_mismatches(ys) -> list:
+    """The values of ys whose inverse differs in any bit from the oracle's."""
+    return [y for y in ys if binary_entropy_inverse(y) != adjacent_float_bisection(y)]
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +309,75 @@ def test_entropy_inverse_resolves_tiny_values(y):
 def test_entropy_inverse_domain(y):
     with pytest.raises(ValueError):
         binary_entropy_inverse(y)
+
+
+# (stratum, values per case, cases): about 0.5 s per case, 10^5 values in all.
+ORACLE_STRATA = [
+    ("uniform", 20_000, 2),
+    ("log_uniform", 2_500, 2),
+    ("near_one", 15_000, 2),
+    ("subnormal", 800, 1),
+    ("dyadic", 15_000, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "stratum, n, seed",
+    [(name, n, seed) for name, n, cases in ORACLE_STRATA for seed in range(cases)],
+)
+def test_entropy_inverse_has_the_bits_of_bisection(stratum, n, seed):
+    assert inverse_mismatches(entropy_values(stratum, n, seed)) == []
+
+
+@pytest.mark.parametrize(
+    "y",
+    [0.0, 1.0, 5e-324, 1e-281, 1e-280, 0.999, math.nextafter(0.999, 1.0)]
+    + [binary_entropy(2.0**-k) for k in range(2, 61)],
+)
+def test_entropy_inverse_tails_and_dyadic_roots_have_the_bits_of_bisection(y):
+    assert binary_entropy_inverse(y) == adjacent_float_bisection(y)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(q=st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True))
+def test_entropy_inverse_of_entropy_has_the_bits_of_bisection(q):
+    y = binary_entropy(q)
+    assert binary_entropy_inverse(y) == adjacent_float_bisection(y)
+
+
+def test_entropy_inverse_evaluation_count(monkeypatch):
+    # Bisection from [0, 1/2] takes about 55 evaluations; the evaluations
+    # must also go through the module's binary_entropy, where tracing sees them.
+    calls = 0
+
+    def counting(q):
+        nonlocal calls
+        calls += 1
+        return binary_entropy(q)
+
+    monkeypatch.setattr(cowsec.core, "binary_entropy", counting)
+    ys = entropy_values("uniform", 10_000, seed=0)
+    for y in ys:
+        binary_entropy_inverse(y)
+    assert calls / len(ys) <= 30
+
+
+@pytest.mark.parametrize("step_bits", [4, 20])
+def test_entropy_inverse_falls_back_when_the_cell_check_fails(monkeypatch, step_bits):
+    # For a non-decreasing h2, a cell that passes the check holds the point
+    # where the predicate flips, so bisection from it keeps the bits. A step
+    # function h2 makes Newton miss that point (2^-4 steps also push Newton
+    # out of its bracket); the check must then send y to the full bisection.
+    scale = 2.0**step_bits
+
+    def steps(q):
+        return binary_entropy(math.floor(q * scale) / scale)
+
+    monkeypatch.setattr(cowsec.core, "binary_entropy", steps)
+    ys = [y for y in entropy_values("uniform", 2_000, seed=1) if 1e-280 <= y <= 0.999]
+    cells = [cowsec.core._root_cell(y) for y in ys]
+    assert any(not steps(lo) < y <= steps(hi) for y, (lo, hi) in zip(ys, cells))
+    assert [y for y in ys if binary_entropy_inverse(y) != adjacent_float_bisection(y, steps)] == []
 
 
 # ---------------------------------------------------------------------------
