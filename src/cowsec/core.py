@@ -109,8 +109,8 @@ def binary_entropy_inverse(y: float) -> float:
     the smallest aligned dyadic cell holding the band lies outside the band,
     and bisection from [0, 1/2] passes through that cell. The bisection
     starts from the cell once binary_entropy confirms the decisions taken at
-    its ends, h2(lo) < y <= h2(hi); otherwise, and for y below 1e-280 or
-    above 0.999, it starts from [0, 1/2].
+    its ends, h2(lo) < y <= h2(hi); otherwise, and for y below 1e-280, it
+    starts from [0, 1/2].
     """
     if not 0.0 <= y <= 1.0:
         raise ValueError(f"entropy value must lie in [0, 1], got {y}")
@@ -118,7 +118,7 @@ def binary_entropy_inverse(y: float) -> float:
         return 0.0
     if y == 1.0:
         return 0.5
-    if 1e-280 <= y <= 0.999:
+    if 1e-280 <= y:
         lo, hi = _root_cell(y)
         if binary_entropy(lo) < y <= binary_entropy(hi):
             return _bisect(y, lo, hi)

@@ -311,7 +311,9 @@ def read_sweep_json(path: str) -> Tuple[Dict[str, str], List[SweepRow]]:
 # Monte Carlo validation
 
 # Minimum expected count in both binomial tails for the normal z-score to
-# be trusted; below this a check is reported as low-power, not failed.
+# be trusted, and minimum number of trials for the exact check of a rate
+# the model puts at 0 or 1; below this a check is reported as low-power,
+# not failed.
 _MIN_EXPECTED_COUNT = 10.0
 _Z_LIMIT = 4.0
 
@@ -371,12 +373,16 @@ class ValidationReport:
 def _make_check(name: str, count: int, n_eff: int, expected: float) -> CheckResult:
     observed = count / n_eff if n_eff else math.nan
     stderr = _binomial_se(expected, n_eff)
-    low_power = n_eff * min(expected, 1.0 - expected) < _MIN_EXPECTED_COUNT
     z = (observed - expected) / stderr if stderr > 0 else math.nan
-    if low_power:
+    if expected in (0.0, 1.0):
+        # The model makes the outcome certain, so the count is checked exactly.
+        power, agrees = n_eff, count == n_eff * expected
+    else:
+        power, agrees = n_eff * min(expected, 1.0 - expected), abs(z) <= _Z_LIMIT
+    if power < _MIN_EXPECTED_COUNT:
         status = "low_power"
     else:
-        status = "pass" if abs(z) <= _Z_LIMIT else "fail"
+        status = "pass" if agrees else "fail"
     return CheckResult(
         name=name, observed=observed, expected=expected, stderr=stderr, z=z, status=status
     )

@@ -10,15 +10,24 @@ identities are additionally asserted at a moderate working point.
 import dataclasses
 import math
 import random
+import tracemalloc
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cowsec import montecarlo
 from cowsec.attacks import active_plan, optimal_mu_e
 from cowsec.core import ProtocolParams, channel_point
 from cowsec.montecarlo import (
     ClassTally,
     TrialStats,
+    _below,
+    _mix,
     _pulse_outcomes,
+    _words,
     blocking_probability,
     decoy_distortion,
     derive_stream_seed,
@@ -257,6 +266,99 @@ def test_derived_stream_seed_matches_splitmix64_reference(stream):
     seeds = [0, -1, 2**64 - 1, 2**70] + [rng.randrange(-(2**80), 2**80) for _ in range(1000)]
     for seed in seeds:
         assert derive_stream_seed(seed, stream) == splitmix64_stream_seed(seed, stream), seed
+
+
+# ---------------------------------------------------------------------------
+# integer-threshold draws
+
+GOLDEN = 0x9E3779B97F4A7C15
+MASK64 = (1 << 64) - 1
+
+
+def uniforms_oracle(base, slot):
+    """Unit uniforms of one draw slot, made as the kernel made them before it compared integers."""
+    z = _mix(base + np.uint64((slot * GOLDEN) & MASK64))
+    # Top 53 bits give a uniform double in [0, 1).
+    z >>= np.uint64(11)
+    return z.astype(np.float64) * 2.0**-53
+
+
+def word_threshold(p):
+    """ceil(p * 2^53) in exact rational arithmetic: the first 53-bit value not below p."""
+    return math.ceil(Fraction(p) * 2**53)
+
+
+def edge_probabilities():
+    ulp = 2.0**-53
+    ps = [0.0, 5e-324, ulp, 0.5, 1.0 - ulp, 1.0]
+    for k in (1, 3, 1000, 2**20 + 1, 2**52 - 1, 2**52 + 3, 2**53 - 1):
+        x = k * ulp
+        ps += [math.nextafter(x, 0.0), x, math.nextafter(x, 1.0)]
+    # the class thresholds (1 - f)/2 and 2 (1 - f)/2, computed as the kernel does
+    for f in (0.0, 0.1, 0.5, math.nextafter(0.0, 1.0)):
+        half_info = 0.5 * (1.0 - f)
+        ps += [half_info, 2.0 * half_info]
+    return ps
+
+
+@pytest.mark.parametrize("p", edge_probabilities())
+def test_threshold_draws_match_float_uniforms(p):
+    rng = np.random.default_rng(2014)
+    base = rng.integers(0, 2**64, size=2**16, dtype=np.uint64, endpoint=False)
+    for slot in range(6):
+        words = _words(base, slot, np.empty_like(base), np.empty_like(base))
+        assert np.array_equal(_below(words, p), uniforms_oracle(base, slot) < p)
+    # words on the edge of the threshold, where the float and integer tests
+    # would part first
+    t = word_threshold(p)
+    edge = [(t * 2**11 + d) & MASK64 for d in (-1, 0, 1)]
+    expected = [(z >> 11) * 2.0**-53 < p for z in edge]
+    assert _below(np.array(edge, dtype=np.uint64), p).tolist() == expected
+
+
+@st.composite
+def probability_and_word(draw):
+    p = draw(st.floats(min_value=0.0, max_value=1.0))
+    if draw(st.booleans()):
+        z = draw(st.integers(min_value=0, max_value=MASK64))
+    else:
+        z = (word_threshold(p) * 2**11 + draw(st.integers(-2, 2))) & MASK64
+    return p, z
+
+
+@settings(derandomize=True, max_examples=2000, deadline=None)
+@given(probability_and_word())
+def test_threshold_decision_matches_float_uniform(case):
+    p, z = case
+    assert bool(_below(np.array([z], dtype=np.uint64), p)[0]) == ((z >> 11) * 2.0**-53 < p)
+
+
+def test_tallies_do_not_depend_on_the_chunk_size(monkeypatch):
+    p = params(0.2)
+    plan = active_plan(p, 20.0, optimal_mu_e(p, 20.0))
+    runs = []
+    for chunk_bits in (10, 16, 20):
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1 << chunk_bits)
+        runs.append(
+            (
+                simulate_active_attack(p, 20.0, plan, GOLDEN_N, GOLDEN_SEED, first_pulse=5),
+                simulate_no_attack(p, 20.0, GOLDEN_N, GOLDEN_SEED, first_pulse=5),
+            )
+        )
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_simulation_memory_stays_chunk_sized():
+    # 2^20 pulses in chunks of 2^16 peak near 2.4 MiB; one chunk of 2^20 near 46 MiB
+    p = params(0.2)
+    plan = active_plan(p, 20.0, optimal_mu_e(p, 20.0))
+    tracemalloc.start()
+    try:
+        simulate_active_attack(p, 20.0, plan, 2**20, SEED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_beam_splitter_arms_are_independent():

@@ -18,6 +18,7 @@ from cowsec.sweeps import (
     CheckResult,
     SweepRow,
     SweepSpec,
+    _make_check,
     length_grid,
     read_sweep_csv,
     read_sweep_json,
@@ -307,6 +308,50 @@ def test_validation_verdict_names_each_outcome():
     failed = replace(report, checks=report.checks[:2] + (bad,))
     assert not failed.passed
     assert failed.verdict == "FAILED: attack_blocked_fraction"
+
+
+@pytest.mark.parametrize(
+    "count, n_eff, expected, status",
+    [
+        (0, 10, 0.0, "pass"),
+        (1, 10, 0.0, "fail"),
+        (10, 10, 1.0, "pass"),
+        (9, 10, 1.0, "fail"),
+        (0, 9, 0.0, "low_power"),
+        (8, 9, 1.0, "low_power"),
+        (0, 0, 1.0, "low_power"),
+    ],
+)
+def test_check_of_a_certain_rate_is_exact(count, n_eff, expected, status):
+    # a rate of 0 or 1 has no spread to scale a z-score by: with enough
+    # trials the count must equal n_eff * expected, and z stays NaN
+    check = _make_check("c", count, n_eff, expected)
+    assert check.status == status
+    assert math.isnan(check.z)
+
+
+@pytest.mark.parametrize(
+    "args, exact",
+    [
+        # beyond the fully-insecure length Eve knows every delivered bit
+        (["--mu", "0.5", "--decoy-fraction", "0", "--length", "54.9"], ["attack_i_ae_proxy"]),
+        (["--length", "100", "--pulses", "262144"], ["attack_i_ae_proxy"]),
+        # at 0 km Eve diverts nothing, so she is never conclusive and blocks nothing
+        (
+            ["--length", "0"],
+            ["attack_eve_conclusive_info_rate", "attack_blocked_fraction", "attack_i_ae_proxy"],
+        ),
+    ],
+    ids=["insecure_without_decoys", "insecure", "zero_km"],
+)
+def test_cli_validate_mc_checks_certain_rates_exactly(args, exact, tmp_path):
+    out = tmp_path / "r.json"
+    assert cli.main(["validate-mc", *args, "--out", str(out)]) == 0
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    for name in exact:
+        assert checks[name]["expected"] in (0.0, 1.0)
+        assert checks[name]["status"] == "pass", name
+        assert checks[name]["z"] is None
 
 
 @pytest.mark.parametrize("f", [0.1, 0.5])
