@@ -2,9 +2,12 @@
 
 Tables are plain lists of SweepRow; writers emit CSV (comma separated,
 floats at 17 significant digits so 64-bit values round-trip exactly) or
-JSON (same rows as objects plus a metadata block). Outputs carry the
-fully resolved configuration in their header and contain nothing
-time-dependent, so identical inputs give byte-identical files.
+JSON (same rows as objects plus a metadata block). Each CSV row is written
+from one line template derived from SweepRow's fields, ended by CRLF as
+csv.writer ends lines; no cell ever needs quoting, so the csv module only
+reads tables back. Outputs carry the fully resolved configuration in their
+header and contain nothing time-dependent, so identical inputs give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -105,6 +109,17 @@ class SweepRow:
 _COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
+def _csv_line(flag: str) -> str:
+    """Line template of a CSV row: %.17g per float column, flag as the fully_insecure cell."""
+    cells = (flag if column == "fully_insecure" else "%.17g" for column in _COLUMNS)
+    return ",".join(cells) + "\r\n"  # csv.writer's line ending
+
+
+# One template per flag value, each filled with the float columns in order.
+_CSV_LINES = {False: _csv_line("false"), True: _csv_line("true")}
+_FLOAT_CELLS = attrgetter(*(column for column in _COLUMNS if column != "fully_insecure"))
+
+
 def _grid_intervals(l_min: float, l_max: float, l_step: float) -> int:
     """Number of steps in the inclusive grid l_min:l_max:l_step, checked against the cap."""
     grid = f"length range {l_min}:{l_max}:{l_step}"
@@ -132,23 +147,23 @@ def length_grid(l_min: float, l_max: float, l_step: float) -> List[float]:
     return [l_min + k * l_step for k in range(_grid_intervals(l_min, l_max, l_step) + 1)]
 
 
-def _qber_row(mu: float, delta: float, f: float, length_km: float, attacks: Sequence[str]) -> SweepRow:
-    params = ProtocolParams(mu=mu, decoy_fraction=f, delta=delta)
-    kwargs: Dict[str, object] = {}
-    if "bs" in attacks:
-        kwargs["qber_bs"] = bs_attack(params, length_km).qber_critical
-    if "active" in attacks:
-        report = active_attack(params, length_km)
-        mu_b = attenuate(mu, delta, length_km)
-        kwargs.update(
-            qber_active=report.qber_critical,
-            i_ae_active=report.i_ae,
-            mu_e_opt=report.plan.mu_e,
-            block_fraction=report.plan.block_fraction,
-            fully_insecure=report.fully_insecure,
-            margin=_margin(mu_b, report.i_ae),
-        )
-    return SweepRow(mu=mu, length_km=length_km, **kwargs)
+def _qber_row(params: ProtocolParams, length_km: float, attacks: Sequence[str]) -> SweepRow:
+    qber_bs = bs_attack(params, length_km).qber_critical if "bs" in attacks else math.nan
+    if "active" not in attacks:
+        return SweepRow(params.mu, length_km, qber_bs)
+    report = active_attack(params, length_km)
+    plan = report.plan
+    return SweepRow(
+        params.mu,
+        length_km,
+        qber_bs,
+        report.qber_critical,
+        report.i_ae,
+        plan.mu_e,
+        plan.block_fraction,
+        report.fully_insecure,
+        _margin(attenuate(params.mu, params.delta, length_km), report.i_ae),
+    )
 
 
 def sweep_qber_curves(spec: SweepSpec, workers: int = 1) -> List[SweepRow]:
@@ -160,12 +175,9 @@ def sweep_qber_curves(spec: SweepSpec, workers: int = 1) -> List[SweepRow]:
     pure-Python work down under the interpreter lock.
     """
     lengths = length_grid(spec.l_min, spec.l_max, spec.l_step)
-    rows = [
-        _qber_row(mu, spec.delta, spec.decoy_fraction, l, spec.attacks)
-        for mu in spec.mu_list
-        for l in lengths
-    ]
-    rows.sort(key=lambda r: (r.mu, r.length_km))
+    params_list = [ProtocolParams(mu, spec.decoy_fraction, spec.delta) for mu in spec.mu_list]
+    rows = [_qber_row(params, l, spec.attacks) for params in params_list for l in lengths]
+    rows.sort(key=attrgetter("mu", "length_km"))
     if spec.output_path is not None:
         write_sweep(spec.output_path, rows, _spec_config(spec, "qber-curves"), spec.format)
     return rows
@@ -175,7 +187,7 @@ def _optimal_row(delta: float, f: float, length_km: float) -> SweepRow:
     # _qber_row's margin runs the same operations as key_rate_margin, so it
     # equals optimal_source_intensity's margin bit for bit.
     mu = optimal_source_intensity(delta, f, length_km).mu
-    return replace(_qber_row(mu, delta, f, length_km, _ATTACK_NAMES), mu_opt=mu)
+    return replace(_qber_row(ProtocolParams(mu, f, delta), length_km, _ATTACK_NAMES), mu_opt=mu)
 
 
 def sweep_optimal_intensity(
@@ -213,14 +225,6 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _fmt_value(v: object) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return _fmt_float(v)
-    return str(v)
-
-
 def _spec_config(spec: SweepSpec, command: str) -> Dict[str, str]:
     return {
         "command": command,
@@ -242,10 +246,8 @@ def write_sweep(path: str, rows: Sequence[SweepRow], config: Dict[str, str], fmt
             if fmt == "csv":
                 for key, value in meta.items():
                     fh.write(f"# {key}={value}\n")
-                writer = csv.writer(fh)
-                writer.writerow(_COLUMNS)
-                for row in rows:
-                    writer.writerow([_fmt_value(getattr(row, c)) for c in _COLUMNS])
+                fh.write(",".join(_COLUMNS) + "\r\n")
+                fh.writelines(_CSV_LINES[row.fully_insecure] % _FLOAT_CELLS(row) for row in rows)
             else:
                 fh.write(_json_text({"metadata": meta, "rows": [asdict(r) for r in rows]}))
     except OSError as exc:

@@ -1,19 +1,31 @@
 """Sweep tables, serialisation round-trips, validation harness and CLI."""
 
+import csv
+import io
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cowsec.cli as cli
+from cowsec import __version__
 from cowsec.core import ProtocolParams
-from cowsec.attacks import fully_insecure_length, key_rate_margin, optimal_source_intensity
+from cowsec.attacks import (
+    active_attack,
+    bs_attack,
+    fully_insecure_length,
+    key_rate_margin,
+    optimal_source_intensity,
+)
 from cowsec.sweeps import (
     CheckResult,
     SweepRow,
@@ -170,6 +182,34 @@ def test_qber_sweep_shape_and_endpoints():
     assert all(r.qber_active > 0.0 for r in head)
 
 
+def test_qber_sweep_sorts_rows_by_mu_then_length():
+    # A repeated mu yields its rows twice; sorting is stable, so the equal
+    # (mu, length) keys of the two copies sit next to each other.
+    lengths = length_grid(0.0, 60.0, 7.5)
+    rows = sweep_qber_curves(
+        SweepSpec(mu_list=(0.5, 0.1, 0.5, 0.02), l_min=0.0, l_max=60.0, l_step=7.5)
+    )
+    expected = []
+    for mu, copies in ((0.02, 1), (0.1, 1), (0.5, 2)):
+        params = ProtocolParams(mu=mu, decoy_fraction=0.1, delta=0.2)
+        for length in lengths:
+            active = active_attack(params, length)
+            row = SweepRow(
+                mu=mu,
+                length_km=length,
+                qber_bs=bs_attack(params, length).qber_critical,
+                qber_active=active.qber_critical,
+                i_ae_active=active.i_ae,
+                mu_e_opt=active.plan.mu_e,
+                block_fraction=active.plan.block_fraction,
+                fully_insecure=active.fully_insecure,
+                margin=key_rate_margin(params, length),
+            )
+            expected.extend([row] * copies)
+    assert len(rows) == len(expected) == 4 * len(lengths)
+    assert all(rows_equal(a, b) for a, b in zip(rows, expected))
+
+
 def test_qber_sweep_single_attack_leaves_nan_columns():
     spec = small_spec(attacks=("bs",))
     rows = sweep_qber_curves(spec)
@@ -215,6 +255,95 @@ def test_seventeen_digit_rendering_round_trips_awkward_floats(tmp_path):
     write_sweep(str(path), [awkward], {"command": "test"}, "csv")
     _, back = read_sweep_csv(str(path))
     assert rows_equal(back[0], awkward)
+
+
+COLUMNS = tuple(f.name for f in fields(SweepRow))
+
+
+def oracle_csv(rows, config):
+    """CSV bytes as csv.writer writes them, one cell formatted at a time."""
+
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return f"{value:.17g}"
+        return str(value)
+
+    buf = io.StringIO(newline="")
+    for key, value in {"tool": "cowsec", "version": __version__, **config}.items():
+        buf.write(f"# {key}={value}\n")
+    writer = csv.writer(buf)
+    writer.writerow(COLUMNS)
+    for row in rows:
+        writer.writerow([cell(getattr(row, c)) for c in COLUMNS])
+    return buf.getvalue().encode()
+
+
+_table_numbers = itertools.count()
+
+
+def assert_written_as_oracle(directory, rows):
+    # A fresh file each time: on ext4, truncating a file and writing it again
+    # flushes it to disk on close, which takes tens of milliseconds.
+    path = directory / f"table-{next(_table_numbers)}.csv"
+    config = {"command": "test", "length": "0:1:0.5"}
+    write_sweep(str(path), rows, config, "csv")
+    assert path.read_bytes() == oracle_csv(rows, config)
+
+
+AWKWARD_FLOATS = (
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+    1.0, -3.0, 150.0, 2.0**53, 1e16, 1e22, 0.1 + 0.2, 1.0 / 3.0,
+)
+
+
+def test_csv_writer_matches_the_csv_module_on_awkward_values(tmp_path):
+    assert_written_as_oracle(tmp_path, [])
+    # every awkward value lands in every float column, next to both flag values
+    rows = [
+        SweepRow(*[AWKWARD_FLOATS[(i + k) % len(AWKWARD_FLOATS)] for k in range(7)],
+                 i % 2 == 0, AWKWARD_FLOATS[-i], AWKWARD_FLOATS[i])
+        for i in range(len(AWKWARD_FLOATS))
+    ]
+    assert {r.fully_insecure for r in rows} == {True, False}
+    assert_written_as_oracle(tmp_path, rows)
+
+
+@pytest.mark.parametrize("attacks", [("bs",), ("active",), ("bs", "active")])
+def test_csv_writer_matches_the_csv_module_on_qber_sweeps(attacks, tmp_path):
+    spec = SweepSpec(mu_list=(0.02, 0.5), l_max=80.0, l_step=2.5, attacks=attacks)
+    assert_written_as_oracle(tmp_path, sweep_qber_curves(spec))
+
+
+def test_csv_writer_matches_the_csv_module_on_optimal_intensity_sweep(tmp_path):
+    rows = sweep_optimal_intensity(0.2, 0.1, 0.0, 120.0, 2.5)
+    assert_written_as_oracle(tmp_path, rows)
+
+
+_any_float = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(
+    derandomize=True,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    rows=st.lists(
+        st.builds(
+            SweepRow,
+            *[_any_float] * 7,
+            fully_insecure=st.booleans(),
+            margin=_any_float,
+            mu_opt=_any_float,
+        ),
+        max_size=5,
+    )
+)
+def test_csv_writer_matches_the_csv_module_on_any_rows(rows, tmp_path):
+    assert_written_as_oracle(tmp_path, rows)
 
 
 def test_write_sweep_rejects_unknown_format(tmp_path):
