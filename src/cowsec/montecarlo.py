@@ -13,24 +13,22 @@ index, draw slot), so a pulse's outcome depends only on the seed and its
 index. Serial runs, chunked runs and arbitrary parallel partitions of
 the index range therefore produce bit-identical tallies.
 
-Both streams run through one chunk kernel: it builds the counter base of
-a chunk once and draws its slots one at a time, all through the same two
-word buffers. Chunks are sized so that each of their uint64 arrays stays
-in a core's L2 cache. A draw succeeds when the uniform (z >> 11) * 2**-53
-of its word z is below p, and the kernel decides that without floats, as
-z < ceil(p * 2**53) * 2**11. The kernel skips Eve's draws when her click
-probability is zero and the block draw when nothing is blocked (the
+Both streams run through one chunk kernel, whose buffers are made once
+per run and sized so that each uint64 row stays in a core's L2 cache;
+between chunks the counters advance by one wrapping add. A draw succeeds
+when the uniform (z >> 11) * 2**-53 of its word z is below p, decided
+without floats as z < ceil(p * 2**53) * 2**11. The class draw gives two
+nested masks, bit0 inside information. Eve's draws are skipped when her
+click probability is zero and the block draw when nothing is blocked (the
 unattacked stream skips both); no draw is below zero, so skipping changes
-no bit. Each pulse's outcome is packed into one code (class, Eve
-conclusive, blocked, delivered early and late clicks), and one bincount
-per chunk fills all eighteen counters.
+no bit. Each counter is a count_nonzero among all, information and bit0
+pulses, and the bit1 and decoy counts are differences of those.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from enum import IntEnum
 from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
@@ -39,7 +37,6 @@ from .attacks import ActiveAttackPlan, _exceeds_budget
 from .core import ProtocolParams, _binomial_se, channel_point
 
 __all__ = [
-    "PulseClass",
     "ClassTally",
     "TrialStats",
     "PatternRow",
@@ -80,14 +77,6 @@ _CHUNK = 1 << 16
 _BASELINE_STREAM = 1
 
 
-class PulseClass(IntEnum):
-    """The three pulse kinds Alice emits."""
-
-    BIT0 = 0  # pulse in the early slot
-    BIT1 = 1  # pulse in the late slot
-    DECOY = 2  # pulse in both slots
-
-
 def _mix(z: np.ndarray, tmp: Optional[np.ndarray] = None) -> np.ndarray:
     """SplitMix64 finalizer, in place on a uint64 array (arrays wrap silently, scalars warn).
 
@@ -118,16 +107,17 @@ def _words(base: np.ndarray, slot: int, out: np.ndarray, tmp: np.ndarray) -> np.
     return _mix(np.add(base, np.uint64((slot * _GOLDEN) & _MASK64), out=out), tmp)
 
 
-def _below(z: np.ndarray, p: float) -> np.ndarray:
-    """Whether each word's unit uniform (z >> 11) * 2**-53 is below p, without floats.
+def _below(z: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
+    """Whether each word's unit uniform (z >> 11) * 2**-53 is below p, without floats, into out.
 
     For an integer k, k < p * 2**53 exactly when k < ceil(p * 2**53), and
     p * 2**53 is exact, so the test is z < ceil(p * 2**53) << 11. From
     p >= 1 on every uniform is below p.
     """
     if p >= 1.0:
-        return np.ones(z.shape, dtype=bool)
-    return z < np.uint64(math.ceil(p * 2.0**53) << 11)
+        out.fill(True)
+        return out
+    return np.less(z, np.uint64(math.ceil(p * 2.0**53) << 11), out=out)
 
 
 def blocking_probability(plan: ActiveAttackPlan) -> float:
@@ -213,77 +203,87 @@ class TrialStats:
         return self.bit0 + self.bit1
 
 
-def _pulse_outcomes(
-    f: float, p_bob: float, p_eve: float, beta: float, seed: int, start: int, count: int
-) -> Tuple[np.ndarray, ...]:
-    """Class, Eve conclusive, blocked, and Bob's raw early and late clicks per pulse.
-
-    Covers pulses [start, start+count). Classes have probabilities
-    ((1-f)/2, (1-f)/2, f); information pulses occupy one slot, decoys both.
-    Each occupied slot clicks for Eve with p_eve and for Bob with p_bob;
-    Eve blocks inconclusive pulses with probability beta, and blocking
-    suppresses Bob's raw clicks only later. Eve's and Bob's arms use
-    disjoint draw slots, so the beam splitter's two outputs are independent
-    by construction, as they are physically for coherent states.
-    """
-    # Counter of (pulse, slot): seed + (DRAWS_PER_PULSE*pulse + 1 + slot)*GOLDEN mod 2**64.
-    # The base is built in place, and every slot's words go through the same
-    # two buffers, so that few arrays are freed, handed back to the OS and
-    # faulted in again: fresh temporaries cost about 1,100 page faults per
-    # chunk and doubled the time of a process that had not warmed its
-    # allocator.
+def _buffers(seed: int, start: int, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Slot-0 counters of pulses [start, start+count) atop 2 word rows, and 8 zeroed bool rows."""
+    words = np.empty((3, count), dtype=np.uint64)
     base = np.arange(start, start + count, dtype=np.uint64)
-    base *= np.uint64(_DRAWS_PER_PULSE)
+    base = np.multiply(base, np.uint64(_DRAWS_PER_PULSE), out=words[0])
     base += np.uint64(1)
     base *= np.uint64(_GOLDEN)
     base += np.uint64(seed & _MASK64)
-    z, tmp = np.empty_like(base), np.empty_like(base)
-    half_info = 0.5 * (1.0 - f)
+    return words, np.zeros((8, count), dtype=bool)
+
+
+def _pulse_outcomes(
+    f: float, p_bob: float, p_eve: float, beta: float, words: np.ndarray, masks: np.ndarray
+) -> Tuple[np.ndarray, ...]:
+    """Information, bit0, Eve conclusive, blocked, and Bob's raw early and late clicks per pulse.
+
+    Covers the pulses whose counters words[0] holds, in rows of masks (both
+    from _buffers). Classes have probabilities ((1-f)/2, (1-f)/2, f);
+    information pulses occupy one slot, decoys both. Each occupied slot
+    clicks for Eve with p_eve and for Bob with p_bob; Eve blocks
+    inconclusive pulses with probability beta, and blocking suppresses
+    Bob's raw clicks only later. Eve's and Bob's arms use disjoint draw
+    slots, so the beam splitter's outputs are independent, as they are
+    physically for coherent states.
+    """
+    base, z, tmp = words
+    info, bit0, eve, blocked, early, late, hit = masks[:7]
     _words(base, _SLOT_CLASS, z, tmp)
-    # BIT0 below (1-f)/2, BIT1 below 1-f, DECOY above.
-    cls = 2 - _below(z, half_info).view(np.uint8) - _below(z, 2.0 * half_info).view(np.uint8)
-    early = cls != PulseClass.BIT1
-    late = cls != PulseClass.BIT0
-
-    eve = np.zeros(count, dtype=bool)
-    if p_eve > 0.0:
-        eve |= early & _below(_words(base, _SLOT_EVE_EARLY, z, tmp), p_eve)
-        eve |= late & _below(_words(base, _SLOT_EVE_LATE, z, tmp), p_eve)
-    blocked = np.zeros(count, dtype=bool)
-    if beta > 0.0:
-        blocked |= ~eve & _below(_words(base, _SLOT_BLOCK, z, tmp), beta)
-    early &= _below(_words(base, _SLOT_BOB_EARLY, z, tmp), p_bob)
-    late &= _below(_words(base, _SLOT_BOB_LATE, z, tmp), p_bob)
-    return cls, eve, blocked, early, late
-
-
-def _tally_matrix() -> np.ndarray:
-    """ClassTally field increments (columns, in field order) of each 4-bit outcome code."""
-    eve, blocked, early, late = (np.arange(16) >> shift & 1 for shift in (3, 2, 1, 0))
-    sent = np.ones(16, dtype=eve.dtype)
-    return np.stack([sent, eve, blocked, early ^ late, early & late, eve & (early | late)], 1)
+    _below(z, 1.0 - f, info)
+    _below(z, 0.5 * (1.0 - f), bit0)  # a subset of info
+    np.equal(info, bit0, out=early)  # bit0 or decoy
+    np.logical_not(bit0, out=late)  # bit1 or decoy
+    if p_eve > 0.0:  # else eve stays all False
+        np.logical_and(early, _below(_words(base, _SLOT_EVE_EARLY, z, tmp), p_eve, hit), out=eve)
+        _below(_words(base, _SLOT_EVE_LATE, z, tmp), p_eve, hit)
+        eve |= np.logical_and(late, hit, out=hit)
+    if beta > 0.0:  # else blocked stays all False
+        np.logical_not(eve, out=blocked)
+        blocked &= _below(_words(base, _SLOT_BLOCK, z, tmp), beta, hit)
+    early &= _below(_words(base, _SLOT_BOB_EARLY, z, tmp), p_bob, hit)
+    late &= _below(_words(base, _SLOT_BOB_LATE, z, tmp), p_bob, hit)
+    return info, bit0, eve, blocked, early, late
 
 
-_TALLY = _tally_matrix()
+def _count(
+    mask: np.ndarray, info: np.ndarray, bit0: np.ndarray, out: np.ndarray
+) -> Tuple[int, int, int]:
+    """Set entries of mask among all, information and bit0 pulses; out is scratch."""
+    on_info = np.count_nonzero(np.logical_and(mask, info, out=out))
+    return np.count_nonzero(mask), on_info, np.count_nonzero(np.logical_and(out, bit0, out=out))
 
 
 def _simulate(
     f: float, p_bob: float, p_eve: float, beta: float, n_pulses: int, seed: int, first_pulse: int
 ) -> TrialStats:
     """Run the chunk kernel over n_pulses pulses and tally them per class."""
-    counts = np.zeros((3, 16), dtype=np.int64)
-    end = first_pulse + n_pulses
-    for start in range(first_pulse, end, _CHUNK):
-        cls, eve, blocked, early, late = _pulse_outcomes(
-            f, p_bob, p_eve, beta, seed, start, min(_CHUNK, end - start)
+    size = min(_CHUNK, n_pulses)
+    # once per run: fresh arrays per chunk page-fault in a process whose allocator is cold
+    words, masks = _buffers(seed, first_pulse, size)
+    step = np.uint64((size * _DRAWS_PER_PULSE * _GOLDEN) & _MASK64)
+    counts = np.zeros((6, 3), dtype=np.int64)  # ClassTally fields among all, info and bit0 pulses
+    for start in range(0, n_pulses, size):
+        n = min(size, n_pulses - start)  # the last chunk uses the first n columns
+        info, bit0, eve, blocked, early, late = _pulse_outcomes(
+            f, p_bob, p_eve, beta, words[:, :n], masks[:, :n]
         )
-        early &= ~blocked
-        late &= ~blocked
-        code = cls << 4
-        for shift, bit in ((3, eve), (2, blocked), (1, early), (0, late)):
-            code |= bit.view(np.uint8) << shift
-        counts += np.bincount(code, minlength=48).reshape(3, 16)
-    bit0, bit1, decoy = (ClassTally(*map(int, row)) for row in counts @ _TALLY)
+        clicked, scratch = masks[6:, :n]
+        counts[0] += (n, np.count_nonzero(info), np.count_nonzero(bit0))
+        if beta > 0.0:
+            counts[2] += _count(blocked, info, bit0, scratch)
+            early &= np.logical_not(blocked, out=clicked)
+            late &= clicked
+        counts[3] += _count(np.not_equal(early, late, out=clicked), info, bit0, scratch)
+        counts[4] += _count(np.logical_and(early, late, out=clicked), info, bit0, scratch)
+        if p_eve > 0.0:
+            counts[1] += _count(eve, info, bit0, scratch)
+            clicked = np.logical_and(eve, np.logical_or(early, late, out=clicked), out=clicked)
+            counts[5] += _count(clicked, info, bit0, scratch)
+        words[0] += step  # exact: the counters wrap mod 2**64
+    tallies = (counts[:, 2], counts[:, 1] - counts[:, 2], counts[:, 0] - counts[:, 1])
+    bit0, bit1, decoy = (ClassTally(*map(int, column)) for column in tallies)
     return TrialStats(n_pulses=n_pulses, seed=seed & _MASK64, bit0=bit0, bit1=bit1, decoy=decoy)
 
 

@@ -25,6 +25,7 @@ from cowsec.montecarlo import (
     ClassTally,
     TrialStats,
     _below,
+    _buffers,
     _mix,
     _pulse_outcomes,
     _words,
@@ -235,6 +236,57 @@ def test_golden_counts_active_attack(length, block_fraction, counts):
     assert stats == _golden(GOLDEN_N, *counts)
 
 
+@pytest.mark.parametrize(
+    "p, length, mu_e, beta, counts",
+    [
+        # f = 0: the information threshold 1 - f is 1, so every pulse is a bit
+        pytest.param(
+            params(0.2, f=0.0),
+            20.0,
+            None,
+            0.2163416139226735,
+            (
+                (524601, 49726, 103169, 40654, 0, 4863),
+                (523978, 50043, 102364, 40072, 0, 4712),
+                (0, 0, 0, 0, 0, 0),
+            ),
+            id="no-decoys",
+        ),
+        # at the cap every inconclusive pulse is blocked
+        pytest.param(
+            params(0.5),
+            60.0,
+            None,
+            1.0,
+            (
+                (472309, 104132, 368177, 23133, 0, 23133),
+                (471743, 104495, 367248, 23092, 0, 23092),
+                (104527, 41170, 63357, 14045, 2022, 16067),
+            ),
+            id="capped-blocking",
+        ),
+        # nothing diverted: blocking without Eve's draws, b = beta
+        pytest.param(
+            params(0.2),
+            20.0,
+            0.0,
+            0.5777875817487259,
+            (
+                (472309, 0, 273156, 36301, 0, 0),
+                (471743, 0, 272214, 36097, 0, 0),
+                (104527, 0, 60241, 13134, 1432, 0),
+            ),
+            id="blocking-without-eve",
+        ),
+    ],
+)
+def test_golden_counts_kernel_branches(p, length, mu_e, beta, counts):
+    plan = active_plan(p, length, optimal_mu_e(p, length) if mu_e is None else mu_e)
+    assert blocking_probability(plan) == beta
+    stats = simulate_active_attack(p, length, plan, GOLDEN_N, GOLDEN_SEED, first_pulse=5)
+    assert stats == _golden(GOLDEN_N, *counts)
+
+
 def test_merge_rejects_mismatched_seeds():
     p = params(0.2)
     a = simulate_no_attack(p, 20.0, 1000, 1)
@@ -307,13 +359,14 @@ def test_threshold_draws_match_float_uniforms(p):
     base = rng.integers(0, 2**64, size=2**16, dtype=np.uint64, endpoint=False)
     for slot in range(6):
         words = _words(base, slot, np.empty_like(base), np.empty_like(base))
-        assert np.array_equal(_below(words, p), uniforms_oracle(base, slot) < p)
+        below = _below(words, p, np.empty(words.shape, dtype=bool))
+        assert np.array_equal(below, uniforms_oracle(base, slot) < p)
     # words on the edge of the threshold, where the float and integer tests
     # would part first
     t = word_threshold(p)
     edge = [(t * 2**11 + d) & MASK64 for d in (-1, 0, 1)]
     expected = [(z >> 11) * 2.0**-53 < p for z in edge]
-    assert _below(np.array(edge, dtype=np.uint64), p).tolist() == expected
+    assert _below(np.array(edge, dtype=np.uint64), p, np.empty(3, dtype=bool)).tolist() == expected
 
 
 @st.composite
@@ -330,7 +383,8 @@ def probability_and_word(draw):
 @given(probability_and_word())
 def test_threshold_decision_matches_float_uniform(case):
     p, z = case
-    assert bool(_below(np.array([z], dtype=np.uint64), p)[0]) == ((z >> 11) * 2.0**-53 < p)
+    below = _below(np.array([z], dtype=np.uint64), p, np.empty(1, dtype=bool))
+    assert bool(below[0]) == ((z >> 11) * 2.0**-53 < p)
 
 
 def test_tallies_do_not_depend_on_the_chunk_size(monkeypatch):
@@ -349,7 +403,7 @@ def test_tallies_do_not_depend_on_the_chunk_size(monkeypatch):
 
 
 def test_simulation_memory_stays_chunk_sized():
-    # 2^20 pulses in chunks of 2^16 peak near 2.4 MiB; one chunk of 2^20 near 46 MiB
+    # 2^20 pulses in chunks of 2^16 peak near 2.0 MiB; one chunk of 2^20 near 32 MiB
     p = params(0.2)
     plan = active_plan(p, 20.0, optimal_mu_e(p, 20.0))
     tracemalloc.start()
@@ -366,16 +420,13 @@ def test_beam_splitter_arms_are_independent():
     # information pulses, 1% level (critical value 6.635 at one dof)
     p = params(0.2)
     plan = active_plan(p, 20.0, optimal_mu_e(p, 20.0))
-    cls, eve, _, bob_raw_early, bob_raw_late = _pulse_outcomes(
+    is_info, _, eve, _, bob_raw_early, bob_raw_late = _pulse_outcomes(
         p.decoy_fraction,
         -math.expm1(-plan.mu_b_prime),
         -math.expm1(-plan.mu_e),
         blocking_probability(plan),
-        SEED,
-        0,
-        N,
+        *_buffers(SEED, 0, N),
     )
-    is_info = cls != 2
     eve = eve[is_info]
     bob_raw = (bob_raw_early | bob_raw_late)[is_info]
     n = eve.size
