@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .core import (
+    ChannelPoint,
     ProtocolParams,
     attenuate,
     binary_entropy_inverse,
@@ -134,7 +135,13 @@ def _exceeds_budget(mu_e: float, mu_e_max: float) -> bool:
     return mu_e > mu_e_max * (1.0 + 1e-12) + 1e-15
 
 
-def active_plan(params: ProtocolParams, length_km: float, mu_e: float) -> ActiveAttackPlan:
+def active_plan(
+    params: ProtocolParams,
+    length_km: float,
+    mu_e: float,
+    *,
+    _point: Optional[ChannelPoint] = None,
+) -> ActiveAttackPlan:
     """Build the active-attack working point for a given diverted intensity.
 
     The blocking fraction balances the intensity budget: Bob's expected
@@ -143,9 +150,10 @@ def active_plan(params: ProtocolParams, length_km: float, mu_e: float) -> Active
     (1 - b) * (1 - exp(-mu_b_prime)) = 1 - exp(-mu_b). Blocking beyond
     Eve's inconclusive fraction on information states is useless, so the
     raw balance value is capped there (and clamped at zero against
-    rounding when mu_e equals the full budget).
+    rounding when mu_e equals the full budget). A caller that already holds
+    channel_point(params, length_km) passes it as _point.
     """
-    point = channel_point(params, length_km)
+    point = channel_point(params, length_km) if _point is None else _point
     if not mu_e >= 0:
         raise ValueError(f"diverted intensity must be non-negative, got {mu_e}")
     if _exceeds_budget(mu_e, point.mu_e_max):
@@ -217,7 +225,9 @@ def critical_length(delta: float) -> float:
 
 def active_attack(params: ProtocolParams, length_km: float) -> AttackReport:
     """Active beam-splitting attack at Eve's optimal diverted intensity."""
-    plan = active_plan(params, length_km, optimal_mu_e(params, length_km))
+    point = channel_point(params, length_km)
+    mu_e = min(point.mu_e_max, params.mu / 2.0)  # optimal_mu_e, from the point at hand
+    plan = active_plan(params, length_km, mu_e, _point=point)
     return _report(ACTIVE_BEAM_SPLITTING, active_eve_info(plan), plan)
 
 
@@ -231,9 +241,17 @@ def fully_insecure_length(params: ProtocolParams) -> float:
     closed form. The cap is unreachable below the critical length, and
     the resulting mu_b is always below mu/2, so the mu/2 branch is the
     right one and the crossing is unique.
+
+    For mu > 2, p = 1 - exp(-mu/2) rounds towards 1 and 1 - p**2 loses
+    its digits (to log1p(-1) from mu of about 75), so mu_b is taken from
+    1 - p**2 = e*(2 - e) with e = exp(-mu/2) instead.
     """
-    p_half = -math.expm1(-params.mu / 2.0)
-    mu_b_star = -math.log1p(-p_half * p_half)
+    if params.mu > 2.0:
+        e = math.exp(-params.mu / 2.0)
+        mu_b_star = params.mu / 2.0 - math.log(2.0) - math.log1p(-e / 2.0)
+    else:
+        p_half = -math.expm1(-params.mu / 2.0)
+        mu_b_star = -math.log1p(-p_half * p_half)
     return 10.0 / params.delta * math.log10(params.mu / mu_b_star)
 
 

@@ -8,6 +8,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation failure, 2 invalid arguments,
 3 I/O error. Length ranges use min:max:step, lists are comma separated.
+
+The subcommands' arguments live in one table, _SUBCOMMANDS, and each
+subcommand's parser adds them only when a command line selects it, so a
+call builds the arguments of the one subcommand it runs.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from . import __version__
 from .attacks import (
@@ -68,46 +72,91 @@ def _parse_attacks(text: str) -> Tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+_Argument = Tuple[Tuple[str, ...], Dict[str, Any]]
+
+
+def _arg(*flags: str, **options: Any) -> _Argument:
+    return flags, options
+
+
+# Each subcommand's help line and the add_argument calls that define it.
+_SUBCOMMANDS = {
+    "qber-curves": (
+        "critical-QBER curves over a length grid",
+        (
+            _arg("--mu", default="0.1,0.2,0.5", help="comma-separated source intensities"),
+            _arg("--delta", type=float, default=0.2, help="attenuation in dB/km"),
+            _arg("--decoy-fraction", type=float, default=0.1),
+            _arg("--length", default="0:150:1", help="length grid min:max:step in km"),
+            _arg("--attacks", default="bs,active", help="subset of bs,active"),
+            _arg("--out", required=True, help="output file path"),
+            _arg("--format", choices=("csv", "json"), default="csv"),
+            _arg("--workers", type=int, default=1, help=_WORKERS_HELP),
+        ),
+    ),
+    "optimal-intensity": (
+        "margin-optimal source intensity per length",
+        (
+            _arg("--delta", type=float, default=0.2),
+            _arg("--decoy-fraction", type=float, default=0.1),
+            _arg("--length", default="1:100:1"),
+            _arg("--out", required=True),
+            _arg("--format", choices=("csv", "json"), default="csv"),
+            _arg("--workers", type=int, default=1, help=_WORKERS_HELP),
+        ),
+    ),
+    "attack-report": (
+        "analyse a single channel point",
+        (
+            _arg("--mu", type=float, required=True),
+            _arg("--delta", type=float, default=0.2),
+            _arg("--length", type=float, required=True),
+            _arg("--decoy-fraction", type=float, default=0.1),
+        ),
+    ),
+    "validate-mc": (
+        "Monte Carlo cross-validation",
+        (
+            _arg("--mu", type=float, default=0.2),
+            _arg("--delta", type=float, default=0.2),
+            _arg("--length", type=float, default=20.0),
+            _arg("--decoy-fraction", type=float, default=0.1),
+            _arg("--pulses", type=int, default=1_000_000),
+            _arg("--seed", type=int, default=42),
+            _arg("--out", default=None, help="report path (stdout when omitted)"),
+        ),
+    ),
+}
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which adds its arguments when it first parses.
+
+    argparse hands a subcommand's arguments to its parser's
+    parse_known_args, so a call builds only the subcommand it runs; every
+    argument, and with it the help and errors, is in place before parsing.
+    """
+
+    def __init__(self, *, arguments: Sequence[_Argument], **kwargs: Any) -> None:
+        super().__init__(**kwargs)
+        self._pending_arguments = arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        pending, self._pending_arguments = self._pending_arguments, ()
+        for flags, options in pending:
+            self.add_argument(*flags, **options)
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cowsec",
         description="COW protocol security against beam-splitting attacks",
     )
     parser.add_argument("--version", action="version", version=f"cowsec {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    qc = sub.add_parser("qber-curves", help="critical-QBER curves over a length grid")
-    qc.add_argument("--mu", default="0.1,0.2,0.5", help="comma-separated source intensities")
-    qc.add_argument("--delta", type=float, default=0.2, help="attenuation in dB/km")
-    qc.add_argument("--decoy-fraction", type=float, default=0.1)
-    qc.add_argument("--length", default="0:150:1", help="length grid min:max:step in km")
-    qc.add_argument("--attacks", default="bs,active", help="subset of bs,active")
-    qc.add_argument("--out", required=True, help="output file path")
-    qc.add_argument("--format", choices=("csv", "json"), default="csv")
-    qc.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
-
-    oi = sub.add_parser("optimal-intensity", help="margin-optimal source intensity per length")
-    oi.add_argument("--delta", type=float, default=0.2)
-    oi.add_argument("--decoy-fraction", type=float, default=0.1)
-    oi.add_argument("--length", default="1:100:1")
-    oi.add_argument("--out", required=True)
-    oi.add_argument("--format", choices=("csv", "json"), default="csv")
-    oi.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
-
-    ar = sub.add_parser("attack-report", help="analyse a single channel point")
-    ar.add_argument("--mu", type=float, required=True)
-    ar.add_argument("--delta", type=float, default=0.2)
-    ar.add_argument("--length", type=float, required=True)
-    ar.add_argument("--decoy-fraction", type=float, default=0.1)
-
-    vm = sub.add_parser("validate-mc", help="Monte Carlo cross-validation")
-    vm.add_argument("--mu", type=float, default=0.2)
-    vm.add_argument("--delta", type=float, default=0.2)
-    vm.add_argument("--length", type=float, default=20.0)
-    vm.add_argument("--decoy-fraction", type=float, default=0.1)
-    vm.add_argument("--pulses", type=int, default=1_000_000)
-    vm.add_argument("--seed", type=int, default=42)
-    vm.add_argument("--out", default=None, help="report path (stdout when omitted)")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
+    for name, (help_line, arguments) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=help_line, arguments=arguments)
     return parser
 
 

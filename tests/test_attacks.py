@@ -7,6 +7,7 @@ inline with numpy and never reuse the optimisers under test.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -382,6 +383,22 @@ def test_fully_insecure_length_small_mu_asymptote():
     mu = 1e-3
     approx = 10.0 / 0.2 * math.log10(4.0 / mu)
     assert fully_insecure_length(params(mu)) == pytest.approx(approx, rel=1e-2)
+
+
+def mp_fully_insecure_length(mu: float, delta: float) -> mpmath.mpf:
+    # 1 - (1 - exp(-mu/2))**2 is written as e*(2 - e) with e = exp(-mu/2),
+    # which 60 digits carry for any mu, up to mu = 1e300.
+    with mpmath.workdps(60):
+        e = mpmath.exp(-mpmath.mpf(mu) / 2)
+        mu_b = -mpmath.log(e * (2 - e))
+        return 10 / mpmath.mpf(delta) * mpmath.log10(mpmath.mpf(mu) / mu_b)
+
+
+@pytest.mark.parametrize("mu", [0.02, 1.0, 2.0, 5.0, 30.0, 70.0, 75.0, 1e3, 1e300])
+def test_fully_insecure_length_matches_mpmath(mu):
+    # from mu of about 75, 1 - exp(-mu/2) rounds to 1 and a direct 1 - p**2 hits log(0)
+    expected = float(mp_fully_insecure_length(mu, 0.2))
+    assert fully_insecure_length(params(mu)) == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
