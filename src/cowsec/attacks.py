@@ -66,14 +66,12 @@ class ActiveAttackPlan:
     mu_e is the diverted intensity, mu_b_prime the intensity forwarded to
     Bob over the lossless line. block_fraction b is the share of
     information pulses Eve suppresses, capped at her inconclusive
-    probability on them, 1 - p_conc_inf; block_fraction_raw keeps the
-    uncapped value of the intensity-budget balance for diagnostics.
+    probability on them, 1 - p_conc_inf.
     """
 
     mu_e: float
     mu_b_prime: float
     block_fraction: float
-    block_fraction_raw: float
     p_conc_inf: float
     p_conc_cont: float
     p_conc_total: float
@@ -177,7 +175,6 @@ def active_plan(
         mu_e=mu_e,
         mu_b_prime=mu_b_prime,
         block_fraction=b,
-        block_fraction_raw=raw_b,
         p_conc_inf=p_conc_inf,
         p_conc_cont=p_conc_cont,
         p_conc_total=p_conc_total,
@@ -245,7 +242,13 @@ def fully_insecure_length(params: ProtocolParams) -> float:
     For mu > 2, p = 1 - exp(-mu/2) rounds towards 1 and 1 - p**2 loses
     its digits (to log1p(-1) from mu of about 75), so mu_b is taken from
     1 - p**2 = e*(2 - e) with e = exp(-mu/2) instead.
+
+    For mu below 1e-100, p**2 underflows (to 0 from mu of about 1e-154),
+    but there mu_b = (mu/2)**2 to a relative 1e-100, so mu/mu_b = 4/mu,
+    whose log is taken as a difference since 4/mu overflows below 2.2e-308.
     """
+    if params.mu < 1e-100:
+        return 10.0 / params.delta * (math.log10(4.0) - math.log10(params.mu))
     if params.mu > 2.0:
         e = math.exp(-params.mu / 2.0)
         mu_b_star = params.mu / 2.0 - math.log(2.0) - math.log1p(-e / 2.0)

@@ -9,9 +9,10 @@ Subcommands:
 Exit codes: 0 success, 1 validation failure, 2 invalid arguments,
 3 I/O error. Length ranges use min:max:step, lists are comma separated.
 
-The subcommands' arguments live in one table, _SUBCOMMANDS, and each
-subcommand's parser adds them only when a command line selects it, so a
-call builds the arguments of the one subcommand it runs.
+Each subcommand's help line, handler and arguments live in one table,
+_SUBCOMMANDS, and each subcommand's parser adds its arguments only when a
+command line selects it, so a call builds the arguments of the one
+subcommand it runs.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .sweeps import (
 
 __all__ = ["main", "console_main", "build_parser"]
 
+# --workers is parsed only so that existing command lines keep working.
 _WORKERS_HELP = "accepted and ignored; rows are computed serially"
 
 
@@ -79,87 +81,6 @@ def _arg(*flags: str, **options: Any) -> _Argument:
     return flags, options
 
 
-# Each subcommand's help line and the add_argument calls that define it.
-_SUBCOMMANDS = {
-    "qber-curves": (
-        "critical-QBER curves over a length grid",
-        (
-            _arg("--mu", default="0.1,0.2,0.5", help="comma-separated source intensities"),
-            _arg("--delta", type=float, default=0.2, help="attenuation in dB/km"),
-            _arg("--decoy-fraction", type=float, default=0.1),
-            _arg("--length", default="0:150:1", help="length grid min:max:step in km"),
-            _arg("--attacks", default="bs,active", help="subset of bs,active"),
-            _arg("--out", required=True, help="output file path"),
-            _arg("--format", choices=("csv", "json"), default="csv"),
-            _arg("--workers", type=int, default=1, help=_WORKERS_HELP),
-        ),
-    ),
-    "optimal-intensity": (
-        "margin-optimal source intensity per length",
-        (
-            _arg("--delta", type=float, default=0.2),
-            _arg("--decoy-fraction", type=float, default=0.1),
-            _arg("--length", default="1:100:1"),
-            _arg("--out", required=True),
-            _arg("--format", choices=("csv", "json"), default="csv"),
-            _arg("--workers", type=int, default=1, help=_WORKERS_HELP),
-        ),
-    ),
-    "attack-report": (
-        "analyse a single channel point",
-        (
-            _arg("--mu", type=float, required=True),
-            _arg("--delta", type=float, default=0.2),
-            _arg("--length", type=float, required=True),
-            _arg("--decoy-fraction", type=float, default=0.1),
-        ),
-    ),
-    "validate-mc": (
-        "Monte Carlo cross-validation",
-        (
-            _arg("--mu", type=float, default=0.2),
-            _arg("--delta", type=float, default=0.2),
-            _arg("--length", type=float, default=20.0),
-            _arg("--decoy-fraction", type=float, default=0.1),
-            _arg("--pulses", type=int, default=1_000_000),
-            _arg("--seed", type=int, default=42),
-            _arg("--out", default=None, help="report path (stdout when omitted)"),
-        ),
-    ),
-}
-
-
-class _SubcommandParser(argparse.ArgumentParser):
-    """A subcommand's parser, which adds its arguments when it first parses.
-
-    argparse hands a subcommand's arguments to its parser's
-    parse_known_args, so a call builds only the subcommand it runs; every
-    argument, and with it the help and errors, is in place before parsing.
-    """
-
-    def __init__(self, *, arguments: Sequence[_Argument], **kwargs: Any) -> None:
-        super().__init__(**kwargs)
-        self._pending_arguments = arguments
-
-    def parse_known_args(self, args=None, namespace=None):
-        pending, self._pending_arguments = self._pending_arguments, ()
-        for flags, options in pending:
-            self.add_argument(*flags, **options)
-        return super().parse_known_args(args, namespace)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cowsec",
-        description="COW protocol security against beam-splitting attacks",
-    )
-    parser.add_argument("--version", action="version", version=f"cowsec {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
-    for name, (help_line, arguments) in _SUBCOMMANDS.items():
-        sub.add_parser(name, help=help_line, arguments=arguments)
-    return parser
-
-
 def _cmd_qber_curves(args: argparse.Namespace) -> int:
     l_min, l_max, l_step = _parse_range(args.length)
     spec = SweepSpec(
@@ -173,7 +94,7 @@ def _cmd_qber_curves(args: argparse.Namespace) -> int:
         output_path=args.out,
         format=args.format,
     )
-    rows = sweep_qber_curves(spec, workers=args.workers)
+    rows = sweep_qber_curves(spec)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -188,7 +109,6 @@ def _cmd_optimal_intensity(args: argparse.Namespace) -> int:
         l_step,
         output_path=args.out,
         fmt=args.format,
-        workers=args.workers,
     )
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -246,12 +166,89 @@ def _cmd_validate_mc(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-_COMMANDS = {
-    "qber-curves": _cmd_qber_curves,
-    "optimal-intensity": _cmd_optimal_intensity,
-    "attack-report": _cmd_attack_report,
-    "validate-mc": _cmd_validate_mc,
+# Each subcommand's help line, handler and the add_argument calls that define it.
+_SUBCOMMANDS = {
+    "qber-curves": (
+        "critical-QBER curves over a length grid",
+        _cmd_qber_curves,
+        (
+            _arg("--mu", default="0.1,0.2,0.5", help="comma-separated source intensities"),
+            _arg("--delta", type=float, default=0.2, help="attenuation in dB/km"),
+            _arg("--decoy-fraction", type=float, default=0.1),
+            _arg("--length", default="0:150:1", help="length grid min:max:step in km"),
+            _arg("--attacks", default="bs,active", help="subset of bs,active"),
+            _arg("--out", required=True, help="output file path"),
+            _arg("--format", choices=("csv", "json"), default="csv"),
+            _arg("--workers", type=int, default=1, help=_WORKERS_HELP),
+        ),
+    ),
+    "optimal-intensity": (
+        "margin-optimal source intensity per length",
+        _cmd_optimal_intensity,
+        (
+            _arg("--delta", type=float, default=0.2),
+            _arg("--decoy-fraction", type=float, default=0.1),
+            _arg("--length", default="1:100:1"),
+            _arg("--out", required=True),
+            _arg("--format", choices=("csv", "json"), default="csv"),
+            _arg("--workers", type=int, default=1, help=_WORKERS_HELP),
+        ),
+    ),
+    "attack-report": (
+        "analyse a single channel point",
+        _cmd_attack_report,
+        (
+            _arg("--mu", type=float, required=True),
+            _arg("--delta", type=float, default=0.2),
+            _arg("--length", type=float, required=True),
+            _arg("--decoy-fraction", type=float, default=0.1),
+        ),
+    ),
+    "validate-mc": (
+        "Monte Carlo cross-validation",
+        _cmd_validate_mc,
+        (
+            _arg("--mu", type=float, default=0.2),
+            _arg("--delta", type=float, default=0.2),
+            _arg("--length", type=float, default=20.0),
+            _arg("--decoy-fraction", type=float, default=0.1),
+            _arg("--pulses", type=int, default=1_000_000),
+            _arg("--seed", type=int, default=42),
+            _arg("--out", default=None, help="report path (stdout when omitted)"),
+        ),
+    ),
 }
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which adds its arguments when it first parses.
+
+    argparse hands a subcommand's arguments to its parser's
+    parse_known_args, so a call builds only the subcommand it runs; every
+    argument, and with it the help and errors, is in place before parsing.
+    """
+
+    def __init__(self, *, arguments: Sequence[_Argument], **kwargs: Any) -> None:
+        super().__init__(**kwargs)
+        self._pending_arguments = arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        pending, self._pending_arguments = self._pending_arguments, ()
+        for flags, options in pending:
+            self.add_argument(*flags, **options)
+        return super().parse_known_args(args, namespace)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cowsec",
+        description="COW protocol security against beam-splitting attacks",
+    )
+    parser.add_argument("--version", action="version", version=f"cowsec {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
+    for name, (help_line, _, arguments) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=help_line, arguments=arguments)
+    return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -261,7 +258,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command][1](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

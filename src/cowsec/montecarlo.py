@@ -72,8 +72,7 @@ _SLOT_BOB_LATE = 5
 # 2^16; 2^14, 2^17 and 2^18 were a few per cent slower.
 _CHUNK = 1 << 16
 
-# Stream tag for the unattacked baseline run of decoy_distortion and of the
-# validation harness.
+# Stream tag for the unattacked baseline run of _stream_pair.
 _BASELINE_STREAM = 1
 
 
@@ -347,6 +346,21 @@ def simulate_active_attack(
     return _simulate(params.decoy_fraction, p_bob, p_eve, beta, n_pulses, seed, first_pulse)
 
 
+def _stream_pair(
+    params: ProtocolParams,
+    length_km: float,
+    plan: ActiveAttackPlan,
+    n_pulses: int,
+    seed: int,
+) -> Tuple[TrialStats, TrialStats]:
+    """The attacked run at seed and the unattacked baseline at the derived stream seed."""
+    attacked = simulate_active_attack(params, length_km, plan, n_pulses, seed)
+    baseline = simulate_no_attack(
+        params, length_km, n_pulses, derive_stream_seed(seed, _BASELINE_STREAM)
+    )
+    return attacked, baseline
+
+
 def detection_pattern_probabilities(
     params: ProtocolParams,
     length_km: float,
@@ -444,10 +458,7 @@ def decoy_distortion(
     intensity unblocked (mu_b_prime = mu_b, b = 0) distort nothing and
     never flag.
     """
-    attacked = simulate_active_attack(params, length_km, plan, n_pulses, seed)
-    baseline = simulate_no_attack(
-        params, length_km, n_pulses, derive_stream_seed(seed, _BASELINE_STREAM)
-    )
+    attacked, baseline = _stream_pair(params, length_km, plan, n_pulses, seed)
     expect_no = detection_pattern_probabilities(params, length_km)
     expect_att = detection_pattern_probabilities(params, length_km, plan)
 

@@ -20,16 +20,8 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .attacks import (
-    _margin,
-    active_attack,
-    active_eve_info,
-    active_plan,
-    bs_attack,
-    optimal_mu_e,
-    optimal_source_intensity,
-)
-from .core import ProtocolParams, _binomial_se, attenuate, channel_point
+from .attacks import _margin, active_attack, bs_attack, optimal_source_intensity
+from .core import ProtocolParams, _binomial_se, attenuate
 
 if TYPE_CHECKING:  # the simulator pulls in numpy; only validation runs need it
     from .montecarlo import DistortionReport
@@ -166,13 +158,11 @@ def _qber_row(params: ProtocolParams, length_km: float, attacks: Sequence[str]) 
     )
 
 
-def sweep_qber_curves(spec: SweepSpec, workers: int = 1) -> List[SweepRow]:
+def sweep_qber_curves(spec: SweepSpec) -> List[SweepRow]:
     """Critical-QBER curves over a length grid, one row per (mu, length).
 
     Rows come back sorted by (mu, length). When spec.output_path is set
-    the table is also written in spec.format. workers is accepted and
-    ignored: rows are computed serially, because threads only slow this
-    pure-Python work down under the interpreter lock.
+    the table is also written in spec.format.
     """
     lengths = length_grid(spec.l_min, spec.l_max, spec.l_step)
     params_list = [ProtocolParams(mu, spec.decoy_fraction, spec.delta) for mu in spec.mu_list]
@@ -198,12 +188,8 @@ def sweep_optimal_intensity(
     l_step: float,
     output_path: Optional[str] = None,
     fmt: str = "csv",
-    workers: int = 1,
 ) -> List[SweepRow]:
-    """Per length: the margin-optimal source intensity and both critical QBERs there.
-
-    workers is accepted and ignored, as in sweep_qber_curves.
-    """
+    """Per length: the margin-optimal source intensity and both critical QBERs there."""
     _check_format(fmt)
     rows = [_optimal_row(delta, f, l) for l in length_grid(l_min, l_max, l_step)]
     if output_path is not None:
@@ -403,21 +389,20 @@ def run_montecarlo_validation(
     the unattacked baseline rates. The delivered click rate equals the
     lossy line's 1 - exp(-mu_b) wherever the plan balances the budget;
     beyond the fully-insecure length the capped plan cannot, and Bob sees
-    fewer clicks than the lossy line would give. The decoy-distortion
-    report is attached. Deterministic for fixed inputs.
+    fewer clicks than the lossy line would give. The plan and i_AE are
+    active_attack's, and Bob's expected rates are the cells of
+    detection_pattern_probabilities. The decoy-distortion report is
+    attached. Deterministic for fixed inputs.
     """
     from . import montecarlo
 
-    plan = active_plan(params, length_km, optimal_mu_e(params, length_km))
-    i_ae = active_eve_info(plan)
-    point = channel_point(params, length_km)
-    p_bob = -math.expm1(-point.mu_b)
-    p_bob_attacked = (1.0 - plan.block_fraction) * -math.expm1(-plan.mu_b_prime)
-
-    attacked = montecarlo.simulate_active_attack(params, length_km, plan, n_pulses, seed)
-    baseline_seed = montecarlo.derive_stream_seed(seed, montecarlo._BASELINE_STREAM)
-    baseline = montecarlo.simulate_no_attack(params, length_km, n_pulses, baseline_seed)
+    report = active_attack(params, length_km)
+    plan, i_ae = report.plan, report.i_ae
+    attacked, baseline = montecarlo._stream_pair(params, length_km, plan, n_pulses, seed)
     distortion = montecarlo.decoy_distortion(params, length_km, plan, n_pulses, seed)
+    expect_no = montecarlo.detection_pattern_probabilities(params, length_km)
+    expect_att = montecarlo.detection_pattern_probabilities(params, length_km, plan)
+    p_bob, p_bob_attacked = expect_no["bit0"]["single"], expect_att["bit0"]["single"]
 
     base_info = baseline.info
     att_info = attacked.info
@@ -446,20 +431,12 @@ def run_montecarlo_validation(
                 "no_attack_decoy_double_rate",
                 baseline.decoy.bob_double_click,
                 baseline.decoy.sent,
-                p_bob * p_bob,
+                expect_no["decoy"]["double"],
             ),
         )
 
     config = {**asdict(params), "length_km": length_km, "n_pulses": n_pulses, "seed": seed}
-    plan_dict: Dict[str, float] = {
-        "mu_e": plan.mu_e,
-        "mu_b_prime": plan.mu_b_prime,
-        "block_fraction": plan.block_fraction,
-        "p_conc_inf": plan.p_conc_inf,
-        "p_conc_cont": plan.p_conc_cont,
-        "p_conc_total": plan.p_conc_total,
-        "i_ae": i_ae,
-    }
+    plan_dict = {**asdict(plan), "i_ae": i_ae}
     return ValidationReport(
         config=config, plan=plan_dict, checks=tuple(checks), distortion=distortion
     )

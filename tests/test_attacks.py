@@ -60,6 +60,12 @@ def params(mu, f=0.1, delta=0.2):
     return ProtocolParams(mu=mu, decoy_fraction=f, delta=delta)
 
 
+def balanced_block_fraction(p, length, plan):
+    # the uncapped budget balance 1 - (1 - exp(-mu_B)) / (1 - exp(-mu_B')), in active_plan's operations
+    mu_b = channel_point(p, length).mu_b
+    return 1.0 - (-math.expm1(-mu_b)) / (-math.expm1(-plan.mu_b_prime))
+
+
 def grid_eve_info(mu, delta, length_km, n=10_000):
     """Vectorised active-attack information over a diverted-intensity grid."""
     point = channel_point(params(mu, delta=delta), length_km)
@@ -118,7 +124,7 @@ def test_active_plan_frozen_values():
     assert plan.p_conc_inf == pytest.approx(PLAN_05_20_PCONC_INF, abs=1e-15)
     assert plan.p_conc_cont == pytest.approx(-math.expm1(-0.5), abs=1e-15)
     assert plan.block_fraction == pytest.approx(PLAN_05_20_BLOCK, abs=1e-14)
-    assert plan.block_fraction == plan.block_fraction_raw
+    assert plan.block_fraction == balanced_block_fraction(params(0.5), 20.0, plan)
 
 
 def test_active_plan_decoy_conclusive_matches_two_term_form():
@@ -171,7 +177,7 @@ def test_active_plan_rejects_overdrawn_budget():
 def test_active_plan_cap_reached_on_long_channel():
     plan = active_plan(params(0.5), 60.0, 0.25)
     assert plan.block_fraction == pytest.approx(1.0 - plan.p_conc_inf, abs=1e-15)
-    assert plan.block_fraction_raw > plan.block_fraction
+    assert balanced_block_fraction(params(0.5), 60.0, plan) > plan.block_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +208,6 @@ def test_eve_info_monotone_in_block_fraction():
             mu_e=base.mu_e,
             mu_b_prime=base.mu_b_prime,
             block_fraction=b,
-            block_fraction_raw=b,
             p_conc_inf=base.p_conc_inf,
             p_conc_cont=base.p_conc_cont,
             p_conc_total=base.p_conc_total,
@@ -226,7 +231,7 @@ def test_information_balance_identity_on_random_uncapped_plans():
         point = channel_point(p, length)
         mu_e = rng.uniform(1e-6, point.mu_e_max) if point.mu_e_max > 1e-6 else point.mu_e_max
         plan = active_plan(p, length, mu_e)
-        if plan.block_fraction_raw > plan.block_fraction:  # capped, identity not expected
+        if balanced_block_fraction(p, length, plan) > plan.block_fraction:  # capped, no identity
             continue
         lhs = plan.p_conc_inf / (1.0 - plan.block_fraction)
         rhs = (
@@ -386,17 +391,28 @@ def test_fully_insecure_length_small_mu_asymptote():
 
 
 def mp_fully_insecure_length(mu: float, delta: float) -> mpmath.mpf:
-    # 1 - (1 - exp(-mu/2))**2 is written as e*(2 - e) with e = exp(-mu/2),
-    # which 60 digits carry for any mu, up to mu = 1e300.
+    # mu_b = -ln(1 - p**2) with p = 1 - exp(-mu/2). For mu >= 1, 1 - p**2 is
+    # written as e*(2 - e) with e = exp(-mu/2), which 60 digits carry up to
+    # mu = 1e300; below mu of about 1e-59, e*(2 - e) rounds to 1 at 60 digits,
+    # so small mu takes -log1p(-p**2) with p = -expm1(-mu/2) instead.
     with mpmath.workdps(60):
-        e = mpmath.exp(-mpmath.mpf(mu) / 2)
-        mu_b = -mpmath.log(e * (2 - e))
-        return 10 / mpmath.mpf(delta) * mpmath.log10(mpmath.mpf(mu) / mu_b)
+        x = mpmath.mpf(mu)
+        if mu < 1.0:
+            p = -mpmath.expm1(-x / 2)
+            mu_b = -mpmath.log1p(-(p**2))
+        else:
+            e = mpmath.exp(-x / 2)
+            mu_b = -mpmath.log(e * (2 - e))
+        return 10 / mpmath.mpf(delta) * mpmath.log10(x / mu_b)
 
 
-@pytest.mark.parametrize("mu", [0.02, 1.0, 2.0, 5.0, 30.0, 70.0, 75.0, 1e3, 1e300])
+@pytest.mark.parametrize(
+    "mu",
+    [5e-324, 1e-300, 1e-160, 1e-150, 1e-100, 0.02, 1.0, 2.0, 5.0, 30.0, 70.0, 75.0, 1e3, 1e300],
+)
 def test_fully_insecure_length_matches_mpmath(mu):
-    # from mu of about 75, 1 - exp(-mu/2) rounds to 1 and a direct 1 - p**2 hits log(0)
+    # from mu of about 75, 1 - exp(-mu/2) rounds to 1 and a direct 1 - p**2 hits log(0);
+    # below mu of about 1e-154, p**2 underflows to 0
     expected = float(mp_fully_insecure_length(mu, 0.2))
     assert fully_insecure_length(params(mu)) == pytest.approx(expected, rel=1e-12)
 

@@ -1,6 +1,7 @@
 """Sweep tables, serialisation round-trips, validation harness and CLI."""
 
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -9,11 +10,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import cowsec.cli as cli
@@ -215,19 +217,6 @@ def test_qber_sweep_single_attack_leaves_nan_columns():
     rows = sweep_qber_curves(spec)
     assert all(math.isnan(r.qber_active) and math.isnan(r.margin) for r in rows)
     assert all(not math.isnan(r.qber_bs) for r in rows)
-
-
-def test_qber_sweep_worker_count_does_not_change_rows(tmp_path):
-    spec = small_spec()
-    serial = sweep_qber_curves(spec, workers=1)
-    threaded = sweep_qber_curves(spec, workers=4)
-    assert len(serial) == len(threaded)
-    assert all(rows_equal(a, b) for a, b in zip(serial, threaded))
-
-    p1, p4 = tmp_path / "w1.csv", tmp_path / "w4.csv"
-    sweep_qber_curves(small_spec(p1), workers=1)
-    sweep_qber_curves(small_spec(p4), workers=4)
-    assert p1.read_bytes() == p4.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +538,26 @@ def test_cli_attack_report(capsys):
         assert fragment in text
 
 
+def log_uniform(lo, hi):
+    # 10**e may round below lo near the subnormal end, so it is clamped back
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: min(max(10.0**e, lo), hi))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@example(mu=1e-300, length=1.0, delta=0.2, f=0.1)
+@example(mu=5e-324, length=1.0, delta=0.2, f=0.1)
+@given(
+    mu=log_uniform(5e-324, 1e300),
+    length=st.just(0.0) | log_uniform(1e-300, 1e6),
+    delta=log_uniform(1e-300, 1e300),
+    f=st.floats(0.0, 0.999),
+)
+def test_cli_attack_report_never_raises(mu, length, delta, f):
+    argv = ["attack-report", "--mu", repr(mu), "--length", repr(length), "--delta", repr(delta)]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert cli.main(argv + ["--decoy-fraction", repr(f)]) in (0, 2)
+
+
 def test_cli_invalid_arguments_exit_2(tmp_path, capsys):
     assert cli.main(["qber-curves", "--length", "nonsense", "--out", str(tmp_path / "x.csv")]) == 2
     assert cli.main(["qber-curves", "--length", "0:10", "--out", str(tmp_path / "x.csv")]) == 2
@@ -589,6 +598,29 @@ def test_cli_validate_mc_is_byte_identical(tmp_path):
     payload = json.loads(out1.read_text())
     assert payload["passed"] is True
     assert payload["config"]["seed"] == 42
+
+
+# SHA-256 of each exit code as text, then each report's bytes, over the grid below.
+VALIDATION_GRID_SHA256 = "d21e9512214fdf963b7a66d0f8e4e161333a5df946f58ce20985160f5dbeed1d"
+
+
+def test_cli_validate_mc_bytes_across_regimes(tmp_path):
+    # 0 km, blocking, the blocking cap, beyond the fully-insecure length, no decoys, mu = 50
+    digest = hashlib.sha256()
+    out = tmp_path / "r.json"
+    with redirect_stdout(io.StringIO()):
+        for mu, length, f in itertools.product(
+            ("0.02", "0.2", "0.5", "1", "50"),
+            ("0", "5", "20", "40", "60", "100", "200"),
+            ("0", "0.1", "0.5"),
+        ):
+            code = cli.main(
+                ["validate-mc", "--mu", mu, "--length", length, "--decoy-fraction", f,
+                 "--pulses", "20000", "--seed", "7", "--out", str(out)]
+            )
+            digest.update(str(code).encode())
+            digest.update(out.read_bytes())
+    assert digest.hexdigest() == VALIDATION_GRID_SHA256
 
 
 def test_cli_validate_mc_stdout(capsys):
