@@ -18,7 +18,9 @@ Modules:
 
 The package root re-exports the names the demos use; everything else is
 imported from its module, e.g. ``from cowsec.montecarlo import
-simulate_active_attack``.
+simulate_active_attack``. The sweep names load ``sweeps`` on first use,
+so that importing the package (and the closed-form commands of ``cli``)
+does not pay for it.
 """
 
 __version__ = "0.1.0"
@@ -30,12 +32,6 @@ from .attacks import (
     critical_length,
     fully_insecure_length,
     key_rate_margin,
-)
-from .sweeps import (
-    SweepSpec,
-    run_montecarlo_validation,
-    sweep_optimal_intensity,
-    sweep_qber_curves,
 )
 
 __all__ = [
@@ -52,3 +48,15 @@ __all__ = [
     "sweep_optimal_intensity",
     "run_montecarlo_validation",
 ]
+
+
+def __getattr__(name: str) -> object:
+    # Called only for names not bound above, so the names of __all__ that
+    # reach it are the four from sweeps. Not cached in the package globals:
+    # each access reads the current binding in sweeps, so a function
+    # patched there is seen here too.
+    if name in __all__:
+        from . import sweeps
+
+        return getattr(sweeps, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

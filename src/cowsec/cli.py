@@ -12,7 +12,10 @@ Exit codes: 0 success, 1 validation failure, 2 invalid arguments,
 Each subcommand's help line, handler and arguments live in one table,
 _SUBCOMMANDS, and each subcommand's parser adds its arguments only when a
 command line selects it, so a call builds the arguments of the one
-subcommand it runs.
+subcommand it runs. Likewise each handler imports its layer on first use:
+importing this module loads only core and attacks, and qber-curves,
+optimal-intensity and validate-mc load sweeps (validate-mc also numpy)
+when they run, so attack-report, --help and --version never load them.
 """
 
 from __future__ import annotations
@@ -31,13 +34,6 @@ from .attacks import (
     key_rate_margin,
 )
 from .core import ProtocolParams, channel_point
-from .sweeps import (
-    SweepSpec,
-    _json_text,
-    run_montecarlo_validation,
-    sweep_optimal_intensity,
-    sweep_qber_curves,
-)
 
 __all__ = ["main", "console_main", "build_parser"]
 
@@ -82,6 +78,8 @@ def _arg(*flags: str, **options: Any) -> _Argument:
 
 
 def _cmd_qber_curves(args: argparse.Namespace) -> int:
+    from .sweeps import SweepSpec, sweep_qber_curves
+
     l_min, l_max, l_step = _parse_range(args.length)
     spec = SweepSpec(
         mu_list=_parse_mu_list(args.mu),
@@ -100,6 +98,8 @@ def _cmd_qber_curves(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimal_intensity(args: argparse.Namespace) -> int:
+    from .sweeps import sweep_optimal_intensity
+
     l_min, l_max, l_step = _parse_range(args.length)
     rows = sweep_optimal_intensity(
         args.delta,
@@ -151,6 +151,8 @@ def _cmd_attack_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate_mc(args: argparse.Namespace) -> int:
+    from .sweeps import _json_text, run_montecarlo_validation
+
     params = ProtocolParams(mu=args.mu, decoy_fraction=args.decoy_fraction, delta=args.delta)
     report = run_montecarlo_validation(params, args.length, args.pulses, args.seed)
     text = _json_text(report.to_jsonable())

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -202,15 +202,36 @@ class TrialStats:
         return self.bit0 + self.bit1
 
 
+# Cache-line size. The kernel's speed depends on where its word rows start:
+# on a 2-core Intel Xeon, simulating 2^18 pulses attacked plus baseline took
+# 12.9-13.5 ms with them at 16 or 48 mod 64 bytes and 11.6-12.0 ms at 0 or
+# 32 (best of 9), whatever the offset of the mask rows.
+_ALIGN = 64
+
+
+def _aligned(
+    alloc: Callable[..., np.ndarray], shape: Tuple[int, int], dtype: type
+) -> np.ndarray:
+    """alloc's array of shape and dtype, its data starting on a cache-line boundary."""
+    nbytes = shape[0] * shape[1] * np.dtype(dtype).itemsize
+    raw = alloc(nbytes + _ALIGN, dtype=np.uint8)
+    offset = -raw.ctypes.data % _ALIGN
+    return raw[offset:offset + nbytes].view(dtype).reshape(shape)
+
+
 def _buffers(seed: int, start: int, count: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Slot-0 counters of pulses [start, start+count) atop 2 word rows, and 8 zeroed bool rows."""
-    words = np.empty((3, count), dtype=np.uint64)
+    """Slot-0 counters of pulses [start, start+count) atop 2 word rows, and 8 zeroed bool rows.
+
+    Both arrays start on a cache-line boundary, and so does every row when
+    count is a multiple of 64 (as _CHUNK is).
+    """
+    words = _aligned(np.empty, (3, count), np.uint64)
     base = np.arange(start, start + count, dtype=np.uint64)
     base = np.multiply(base, np.uint64(_DRAWS_PER_PULSE), out=words[0])
     base += np.uint64(1)
     base *= np.uint64(_GOLDEN)
     base += np.uint64(seed & _MASK64)
-    return words, np.zeros((8, count), dtype=bool)
+    return words, _aligned(np.zeros, (8, count), bool)
 
 
 def _pulse_outcomes(

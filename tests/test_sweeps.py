@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
@@ -680,8 +681,24 @@ def test_cli_validate_mc_plan_at_blocking_cap_passes(args, tmp_path):
 
 
 def test_closed_form_path_does_not_import_numpy():
+    # Against a bare interpreter's modules: importing the CLI, an
+    # attack-report and --help load none of the sweep or simulation layers.
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, cowsec, cowsec.cli; print('numpy' in sys.modules)"
+    code = textwrap.dedent("""
+        import io, json, sys
+        from contextlib import redirect_stdout
+        bare = set(sys.modules)
+        heavy = ("numpy", "cowsec.sweeps", "cowsec.montecarlo", "json", "csv")
+        added = {}
+        import cowsec, cowsec.cli
+        added["import"] = [m for m in heavy if m in sys.modules and m not in bare]
+        with redirect_stdout(io.StringIO()):
+            cowsec.cli.main(["attack-report", "--mu", "0.2", "--length", "40"])
+            added["attack-report"] = [m for m in heavy if m in sys.modules and m not in bare]
+            cowsec.cli.main(["--help"])
+        added["--help"] = [m for m in heavy if m in sys.modules and m not in bare]
+        print(json.dumps(added))
+    """)
     result = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=str(src)),
@@ -689,7 +706,23 @@ def test_closed_form_path_does_not_import_numpy():
         text=True,
         check=True,
     )
-    assert result.stdout.strip() == "False"
+    assert json.loads(result.stdout) == {"import": [], "attack-report": [], "--help": []}
+
+
+def test_package_root_resolves_sweep_names_lazily():
+    import cowsec
+    import cowsec.sweeps
+
+    namespace = {}
+    exec("from cowsec import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(cowsec.__all__)
+    assert len(cowsec.__all__) == 12
+    for name in ("SweepSpec", "sweep_qber_curves", "sweep_optimal_intensity",
+                 "run_montecarlo_validation"):
+        assert getattr(cowsec, name) is getattr(cowsec.sweeps, name)
+        assert namespace[name] is getattr(cowsec.sweeps, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cowsec.no_such_name
 
 
 def test_cli_validate_mc_failure_exit_code(monkeypatch, tmp_path, capsys):
@@ -701,7 +734,7 @@ def test_cli_validate_mc_failure_exit_code(monkeypatch, tmp_path, capsys):
         def to_jsonable(self):
             return {"passed": False}
 
-    monkeypatch.setattr(cli, "run_montecarlo_validation", lambda *a, **k: FailingReport())
+    monkeypatch.setattr("cowsec.sweeps.run_montecarlo_validation", lambda *a, **k: FailingReport())
     out = tmp_path / "r.json"
     assert cli.main(["validate-mc", "--pulses", "1000", "--out", str(out)]) == 1
     assert "FAILED" in capsys.readouterr().out or json.loads(out.read_text())["passed"] is False
