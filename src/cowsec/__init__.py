@@ -20,7 +20,8 @@ The package root re-exports the names the demos use; everything else is
 imported from its module, e.g. ``from cowsec.montecarlo import
 simulate_active_attack``. The sweep names load ``sweeps`` on first use,
 so that importing the package (and the closed-form commands of ``cli``)
-does not pay for it.
+does not pay for it. Records are immutable ``typing.NamedTuple``s, so no
+module loads ``dataclasses``: use ``x._replace(...)`` and ``x._asdict()``.
 """
 
 __version__ = "0.1.0"

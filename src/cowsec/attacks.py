@@ -16,7 +16,6 @@ key can be distilled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -59,8 +58,7 @@ FULLY_INSECURE_TOL = 1e-12
 MU_SEARCH_MAX = 2.0
 
 
-@dataclass(frozen=True)
-class ActiveAttackPlan:
+class ActiveAttackPlan(NamedTuple):
     """Eve's parameter choice for the active beam-splitting attack.
 
     mu_e is the diverted intensity, mu_b_prime the intensity forwarded to
@@ -77,8 +75,7 @@ class ActiveAttackPlan:
     p_conc_total: float
 
 
-@dataclass(frozen=True)
-class AttackReport:
+class AttackReport(NamedTuple):
     """Outcome of one attack analysis at one channel point."""
 
     attack_kind: str
@@ -114,13 +111,7 @@ def _report(
     """Critical QBER where Bob's 1 - h2(Q) falls to Eve's i_ae; zero once she knows everything."""
     insecure = _fully_insecure(i_ae)
     qber = 0.0 if insecure else binary_entropy_inverse(1.0 - i_ae)
-    return AttackReport(
-        attack_kind=attack_kind,
-        i_ae=i_ae,
-        qber_critical=qber,
-        fully_insecure=insecure,
-        plan=plan,
-    )
+    return AttackReport(attack_kind, i_ae, qber, insecure, plan)
 
 
 def _fully_insecure(i_ae: float) -> bool:
@@ -171,14 +162,7 @@ def active_plan(
 
     raw_b = 1.0 - (-math.expm1(-point.mu_b)) / (-math.expm1(-mu_b_prime))
     b = max(0.0, min(raw_b, 1.0 - p_conc_inf))
-    return ActiveAttackPlan(
-        mu_e=mu_e,
-        mu_b_prime=mu_b_prime,
-        block_fraction=b,
-        p_conc_inf=p_conc_inf,
-        p_conc_cont=p_conc_cont,
-        p_conc_total=p_conc_total,
-    )
+    return ActiveAttackPlan(mu_e, mu_b_prime, b, p_conc_inf, p_conc_cont, p_conc_total)
 
 
 def active_eve_info(plan: ActiveAttackPlan) -> float:

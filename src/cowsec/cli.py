@@ -16,6 +16,7 @@ subcommand it runs. Likewise each handler imports its layer on first use:
 importing this module loads only core and attacks, and qber-curves,
 optimal-intensity and validate-mc load sweeps (validate-mc also numpy)
 when they run, so attack-report, --help and --version never load them.
+No command loads dataclasses: every record is a typing.NamedTuple.
 """
 
 from __future__ import annotations

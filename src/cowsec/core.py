@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "ProtocolParams",
@@ -24,34 +24,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ProtocolParams:
+class _ProtocolParamsFields(NamedTuple):
+    mu: float
+    decoy_fraction: float
+    delta: float
+
+
+class ProtocolParams(_ProtocolParamsFields):
     """Legitimate-user configuration of the COW link.
 
     mu is the source intensity (mean photon number of the occupied time
     slot), decoy_fraction the probability that a transmitted pulse pair is
-    a decoy, and delta the fibre attenuation coefficient in dB/km.
+    a decoy, and delta the fibre attenuation coefficient in dB/km. Checked
+    on construction, also through _replace and _make.
     """
 
-    mu: float
-    decoy_fraction: float = 0.1
-    delta: float = 0.2
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 < self.mu < math.inf:
-            raise ValueError(f"source intensity must be positive and finite, got {self.mu}")
-        if not 0.0 <= self.decoy_fraction < 1.0:
-            raise ValueError(
-                f"decoy fraction must lie in [0, 1), got {self.decoy_fraction}"
-            )
-        if not 0 < self.delta < math.inf:
-            raise ValueError(
-                f"attenuation coefficient must be positive and finite, got {self.delta}"
-            )
+    def __new__(cls, mu: float, decoy_fraction: float = 0.1, delta: float = 0.2) -> ProtocolParams:
+        if not 0 < mu < math.inf:
+            raise ValueError(f"source intensity must be positive and finite, got {mu}")
+        if not 0.0 <= decoy_fraction < 1.0:
+            raise ValueError(f"decoy fraction must lie in [0, 1), got {decoy_fraction}")
+        if not 0 < delta < math.inf:
+            raise ValueError(f"attenuation coefficient must be positive and finite, got {delta}")
+        return super().__new__(cls, mu, decoy_fraction, delta)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[float]) -> ProtocolParams:  # _replace builds through _make
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ChannelPoint:
+class ChannelPoint(NamedTuple):
     """Intensities seen at one channel length.
 
     mu_b is what Bob expects after fibre loss; mu_e_max is the largest

@@ -28,8 +28,7 @@ pulses, and the bit1 and decoy counts are differences of those.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -135,8 +134,7 @@ def blocking_probability(plan: ActiveAttackPlan) -> float:
     return plan.block_fraction / (1.0 - plan.p_conc_inf)
 
 
-@dataclass
-class ClassTally:
+class ClassTally(NamedTuple):
     """Counts for one pulse class."""
 
     sent: int = 0
@@ -148,10 +146,8 @@ class ClassTally:
     # pulses on which both Eve was conclusive and Bob registered a click.
     eve_conclusive_bob_click: int = 0
 
-    def __add__(self, other: "ClassTally") -> "ClassTally":
-        return ClassTally(
-            *(getattr(self, f.name) + getattr(other, f.name) for f in fields(ClassTally))
-        )
+    def __add__(self, other: ClassTally) -> ClassTally:  # counts add; tuples would concatenate
+        return ClassTally(*(a + b for a, b in zip(self, other)))
 
     @property
     def bob_click(self) -> int:
@@ -170,17 +166,16 @@ def rate_with_error(count: int, total: int) -> Tuple[float, float]:
     return p, _binomial_se(p, total)
 
 
-@dataclass
-class TrialStats:
+class TrialStats(NamedTuple):
     """Tallies of one simulated run, mergeable across disjoint pulse ranges."""
 
     n_pulses: int
     seed: int
-    bit0: ClassTally = field(default_factory=ClassTally)
-    bit1: ClassTally = field(default_factory=ClassTally)
-    decoy: ClassTally = field(default_factory=ClassTally)
+    bit0: ClassTally = ClassTally()
+    bit1: ClassTally = ClassTally()
+    decoy: ClassTally = ClassTally()
 
-    def __add__(self, other: "TrialStats") -> "TrialStats":
+    def __add__(self, other: TrialStats) -> TrialStats:
         if self.seed != other.seed:
             raise ValueError("cannot merge runs with different seeds")
         return TrialStats(
@@ -332,7 +327,7 @@ def _check_plan(params: ProtocolParams, length_km: float, plan: ActiveAttackPlan
             f"plan diverts {plan.mu_e}, above the loss budget "
             f"{point.mu_e_max} at {length_km} km"
         )
-    if abs(plan.mu_b_prime - (params.mu - plan.mu_e)) > 1e-9:
+    if abs(plan.mu_b_prime - (params.mu - plan.mu_e)) > 1e-12 * params.mu:
         raise ValueError("plan's forwarded intensity does not match mu - mu_e")
     if not 0.0 <= plan.block_fraction <= 1.0 - plan.p_conc_inf:
         raise ValueError(
@@ -419,8 +414,7 @@ def detection_pattern_probabilities(
     return {"bit0": info, "bit1": dict(info), "decoy": decoy}
 
 
-@dataclass(frozen=True)
-class PatternRow:
+class PatternRow(NamedTuple):
     """One (pulse class, detection pattern) cell of the distortion report."""
 
     pulse_class: str
@@ -435,8 +429,7 @@ class PatternRow:
     flagged: bool
 
 
-@dataclass(frozen=True)
-class DistortionReport:
+class DistortionReport(NamedTuple):
     """Bob-side detection-pattern statistics, attacked vs unattacked."""
 
     n_pulses: int

@@ -15,9 +15,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
 from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__
 from .attacks import _margin, active_attack, bs_attack, optimal_source_intensity
@@ -52,33 +51,53 @@ def _check_format(fmt: str) -> None:
         raise ValueError(f"format must be one of {_FORMATS}, got {fmt}")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Resolved configuration of a critical-QBER sweep."""
-
+class _SweepSpecFields(NamedTuple):
     mu_list: Tuple[float, ...]
-    delta: float = 0.2
-    decoy_fraction: float = 0.1
-    l_min: float = 0.0
-    l_max: float = 150.0
-    l_step: float = 1.0
-    attacks: Tuple[str, ...] = ("bs", "active")
-    output_path: Optional[str] = None
-    format: str = "csv"
+    delta: float
+    decoy_fraction: float
+    l_min: float
+    l_max: float
+    l_step: float
+    attacks: Tuple[str, ...]
+    output_path: Optional[str]
+    format: str
 
-    def __post_init__(self) -> None:
-        if not self.mu_list:
+
+class SweepSpec(_SweepSpecFields):
+    """Resolved configuration of a critical-QBER sweep, checked also through _replace and _make."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        mu_list: Tuple[float, ...],
+        delta: float = 0.2,
+        decoy_fraction: float = 0.1,
+        l_min: float = 0.0,
+        l_max: float = 150.0,
+        l_step: float = 1.0,
+        attacks: Tuple[str, ...] = ("bs", "active"),
+        output_path: Optional[str] = None,
+        format: str = "csv",
+    ) -> SweepSpec:
+        if not mu_list:
             raise ValueError("mu_list must not be empty")
-        for mu in self.mu_list:
-            ProtocolParams(mu, self.decoy_fraction, self.delta)
-        _grid_intervals(self.l_min, self.l_max, self.l_step)
-        if not self.attacks or any(a not in _ATTACK_NAMES for a in self.attacks):
+        for mu in mu_list:
+            ProtocolParams(mu, decoy_fraction, delta)
+        _grid_intervals(l_min, l_max, l_step)
+        if not attacks or any(a not in _ATTACK_NAMES for a in attacks):
             raise ValueError(f"attacks must be a non-empty subset of {_ATTACK_NAMES}")
-        _check_format(self.format)
+        _check_format(format)
+        return super().__new__(
+            cls, mu_list, delta, decoy_fraction, l_min, l_max, l_step, attacks, output_path, format
+        )
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> SweepSpec:  # _replace builds through _make
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One (source intensity, length) point of a sweep table.
 
     Columns not produced by the requested computation are NaN (mu_opt is
@@ -98,7 +117,7 @@ class SweepRow:
     mu_opt: float = math.nan
 
 
-_COLUMNS = tuple(f.name for f in fields(SweepRow))
+_COLUMNS = SweepRow._fields
 
 
 def _csv_line(flag: str) -> str:
@@ -177,7 +196,7 @@ def _optimal_row(delta: float, f: float, length_km: float) -> SweepRow:
     # _qber_row's margin runs the same operations as key_rate_margin, so it
     # equals optimal_source_intensity's margin bit for bit.
     mu = optimal_source_intensity(delta, f, length_km).mu
-    return replace(_qber_row(ProtocolParams(mu, f, delta), length_km, _ATTACK_NAMES), mu_opt=mu)
+    return _qber_row(ProtocolParams(mu, f, delta), length_km, _ATTACK_NAMES)._replace(mu_opt=mu)
 
 
 def sweep_optimal_intensity(
@@ -235,7 +254,7 @@ def write_sweep(path: str, rows: Sequence[SweepRow], config: Dict[str, str], fmt
                 fh.write(",".join(_COLUMNS) + "\r\n")
                 fh.writelines(_CSV_LINES[row.fully_insecure] % _FLOAT_CELLS(row) for row in rows)
             else:
-                fh.write(_json_text({"metadata": meta, "rows": [asdict(r) for r in rows]}))
+                fh.write(_json_text({"metadata": meta, "rows": [r._asdict() for r in rows]}))
     except OSError as exc:
         raise OSError(f"cannot write sweep table to {path}: {exc}") from exc
 
@@ -306,8 +325,7 @@ _MIN_EXPECTED_COUNT = 10.0
 _Z_LIMIT = 4.0
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One empirical-vs-analytic comparison."""
 
     name: str
@@ -318,8 +336,7 @@ class CheckResult:
     status: str  # "pass" | "fail" | "low_power"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Cross-validation of the simulator against the closed-form rates."""
 
     config: Dict[str, object]
@@ -347,9 +364,9 @@ class ValidationReport:
             "tool": {"name": "cowsec", "version": __version__},
             "config": self.config,
             "plan": self.plan,
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [c._asdict() for c in self.checks],
             "distortion": {
-                "rows": [asdict(r) for r in self.distortion.rows],
+                "rows": [r._asdict() for r in self.distortion.rows],
                 "flagged": [
                     f"{r.pulse_class}/{r.pattern}" for r in self.distortion.flagged_rows()
                 ],
@@ -371,9 +388,7 @@ def _make_check(name: str, count: int, n_eff: int, expected: float) -> CheckResu
         status = "low_power"
     else:
         status = "pass" if agrees else "fail"
-    return CheckResult(
-        name=name, observed=observed, expected=expected, stderr=stderr, z=z, status=status
-    )
+    return CheckResult(name, observed, expected, stderr, z, status)
 
 
 def run_montecarlo_validation(
@@ -435,8 +450,6 @@ def run_montecarlo_validation(
             ),
         )
 
-    config = {**asdict(params), "length_km": length_km, "n_pulses": n_pulses, "seed": seed}
-    plan_dict = {**asdict(plan), "i_ae": i_ae}
-    return ValidationReport(
-        config=config, plan=plan_dict, checks=tuple(checks), distortion=distortion
-    )
+    config = {**params._asdict(), "length_km": length_km, "n_pulses": n_pulses, "seed": seed}
+    plan_dict = {**plan._asdict(), "i_ae": i_ae}
+    return ValidationReport(config, plan_dict, tuple(checks), distortion)

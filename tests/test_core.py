@@ -248,6 +248,18 @@ def test_protocol_params_validation(kwargs):
         ProtocolParams(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [{"mu": -1.0}, {"decoy_fraction": 1.0}, {"delta": math.nan}])
+def test_protocol_params_validates_through_replace_and_make(kwargs):
+    # namedtuple's _replace and _make build with tuple.__new__ unless _make is overridden
+    params = ProtocolParams(0.2)
+    with pytest.raises(ValueError):
+        params._replace(**kwargs)
+    with pytest.raises(ValueError):
+        ProtocolParams._make({**params._asdict(), **kwargs}.values())
+    moved = params._replace(mu=0.3)
+    assert moved == ProtocolParams(0.3) and type(moved) is ProtocolParams
+
+
 # ---------------------------------------------------------------------------
 # binary entropy and its inverse
 

@@ -7,7 +7,6 @@ finds inconclusive less often, at a lower rate. The idealised budget
 identities are additionally asserted at a moderate working point.
 """
 
-import dataclasses
 import math
 import random
 import tracemalloc
@@ -293,6 +292,8 @@ def test_merge_rejects_mismatched_seeds():
     b = simulate_no_attack(p, 20.0, 1000, 2)
     with pytest.raises(ValueError):
         a + b
+    with pytest.raises(ValueError, match="different seeds"):
+        TrialStats(1, 1) + TrialStats(1, 2)
 
 
 def test_derived_stream_seed_is_distinct_and_stable():
@@ -463,11 +464,21 @@ def test_capped_plan_with_decoys_blocks_everything_inconclusive():
     assert info.eve_conclusive_bob_click == info.bob_click > 0
 
 
+def test_plan_forwarding_above_the_source_is_rejected_at_tiny_intensity():
+    # The forwarded intensity is checked relative to mu; an absolute
+    # tolerance of 1e-9 let a plan forward 3x the source at mu = 1e-10.
+    p = params(1e-10)
+    plan = active_plan(p, 40.0, optimal_mu_e(p, 40.0))
+    assert simulate_active_attack(p, 40.0, plan, 1000, SEED).n_pulses == 1000
+    with pytest.raises(ValueError, match="forwarded intensity"):
+        simulate_active_attack(p, 40.0, plan._replace(mu_b_prime=3e-10), 1000, SEED)
+
+
 @pytest.mark.parametrize("excess", [1e-3, math.nan])
 def test_plan_above_blocking_cap_is_rejected(excess):
     p = params(0.2)
     plan = active_plan(p, 60.0, optimal_mu_e(p, 60.0))
-    bad = dataclasses.replace(plan, block_fraction=1.0 - plan.p_conc_inf + excess)
+    bad = plan._replace(block_fraction=1.0 - plan.p_conc_inf + excess)
     with pytest.raises(ValueError, match="information pulses"):
         simulate_active_attack(p, 60.0, bad, 1000, SEED)
 
@@ -553,10 +564,17 @@ def test_distortion_report_without_decoys_has_no_decoy_rows():
 # tally bookkeeping
 
 
+def test_tallies_add_counts_rather_than_concatenating():
+    a = ClassTally(1, 2, 3, 4, 5, 6)
+    b = ClassTally(10, 20, 30, 40, 50, 60)
+    assert a + b == ClassTally(11, 22, 33, 44, 55, 66)
+    merged = TrialStats(7, 1, a, b, a) + TrialStats(3, 1, b, a, b)
+    assert merged == TrialStats(10, 1, a + b, a + b, a + b)
+    assert type(merged.bit0) is ClassTally and len(merged) == len(TrialStats._fields)
+
+
 def test_trial_stats_merge_adds_counts():
-    a = TrialStats(n_pulses=10, seed=1)
-    a.bit0.sent = 4
-    b = TrialStats(n_pulses=5, seed=1)
-    b.bit0.sent = 2
+    a = TrialStats(n_pulses=10, seed=1, bit0=ClassTally(sent=4))
+    b = TrialStats(n_pulses=5, seed=1, bit0=ClassTally(sent=2))
     merged = a + b
     assert merged.n_pulses == 15 and merged.bit0.sent == 6

@@ -12,7 +12,6 @@ import sys
 import textwrap
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -45,7 +44,7 @@ from cowsec.sweeps import (
 
 
 def rows_equal(a: SweepRow, b: SweepRow) -> bool:
-    for field in SweepRow.__dataclass_fields__:
+    for field in SweepRow._fields:
         x, y = getattr(a, field), getattr(b, field)
         if isinstance(x, float) and isinstance(y, float):
             if math.isnan(x) and math.isnan(y):
@@ -96,6 +95,46 @@ def small_spec(tmp_path=None, fmt="csv", attacks=("bs", "active")):
 def test_sweep_spec_validation(kwargs):
     with pytest.raises(ValueError):
         SweepSpec(**kwargs)
+
+
+def test_sweep_spec_validates_through_replace_and_make():
+    spec = SweepSpec(mu_list=(0.1,))
+    with pytest.raises(ValueError, match="positive step"):
+        spec._replace(l_step=0.0)
+    with pytest.raises(ValueError, match="positive step"):
+        SweepSpec._make([*spec[:5], 0.0, *spec[6:]])
+    moved = spec._replace(l_step=2.0)
+    assert moved.l_step == 2.0 and type(moved) is SweepSpec
+
+
+def test_every_record_is_immutable():
+    from cowsec.core import channel_point
+    from cowsec.montecarlo import ClassTally, TrialStats
+
+    params = ProtocolParams(0.2)
+    active = active_attack(params, 20.0)
+    report = run_montecarlo_validation(params, 20.0, 1000, 1)
+    records = [
+        params, channel_point(params, 20.0), active.plan, active,
+        optimal_source_intensity(0.2, 0.1, 20.0), SweepSpec(mu_list=(0.2,)), SweepRow(0.2, 20.0),
+        report.checks[0], report, report.distortion, report.distortion.rows[0], ClassTally(),
+        TrialStats(1, 1),
+    ]
+    assert len({type(record) for record in records}) == 13
+    for record in records:
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], record[0])
+        with pytest.raises(AttributeError):
+            record.extra = 0  # no instance __dict__, also on the validated subclasses
+
+
+@pytest.mark.parametrize("command, n_rows", [("qber-curves", 9), ("optimal-intensity", 3)])
+def test_json_rows_keep_the_column_order(command, n_rows, tmp_path):
+    path = tmp_path / "table.json"
+    assert cli.main([command, "--length", "1:11:5", "--format", "json", "--out", str(path)]) == 0
+    rows = json.loads(path.read_text())["rows"]
+    assert len(rows) == n_rows
+    assert all(list(row) == list(SweepRow._fields) for row in rows)
 
 
 def test_length_grid_is_inclusive():
@@ -247,7 +286,7 @@ def test_seventeen_digit_rendering_round_trips_awkward_floats(tmp_path):
     assert rows_equal(back[0], awkward)
 
 
-COLUMNS = tuple(f.name for f in fields(SweepRow))
+COLUMNS = SweepRow._fields
 
 
 def oracle_csv(rows, config):
@@ -424,7 +463,7 @@ def test_validation_verdict_names_each_outcome():
     assert {c.status for c in weak.checks} == {"low_power"}
     assert weak.verdict == "no check had the power to pass: all low_power, nothing was tested"
     bad = CheckResult("attack_blocked_fraction", 0.2, 0.1, 0.001, 100.0, "fail")
-    failed = replace(report, checks=report.checks[:2] + (bad,))
+    failed = report._replace(checks=report.checks[:2] + (bad,))
     assert not failed.passed
     assert failed.verdict == "FAILED: attack_blocked_fraction"
 
@@ -680,33 +719,52 @@ def test_cli_validate_mc_plan_at_blocking_cap_passes(args, tmp_path):
     assert report["plan"]["block_fraction"] == 1.0 - report["plan"]["p_conc_inf"]
 
 
-def test_closed_form_path_does_not_import_numpy():
+def test_closed_form_path_does_not_import_numpy(tmp_path):
     # Against a bare interpreter's modules: importing the CLI, an
-    # attack-report and --help load none of the sweep or simulation layers.
+    # attack-report and --help load none of the sweep or simulation layers,
+    # nor dataclasses and the inspect it pulls in; the sweep commands load
+    # no simulator, and no command loads dataclasses (numpy loads inspect).
     src = Path(__file__).resolve().parents[1] / "src"
     code = textwrap.dedent("""
-        import io, json, sys
-        from contextlib import redirect_stdout
+        import sys
         bare = set(sys.modules)
-        heavy = ("numpy", "cowsec.sweeps", "cowsec.montecarlo", "json", "csv")
+        import io
+        from contextlib import redirect_stdout
+        heavy = ("numpy", "cowsec.sweeps", "cowsec.montecarlo", "json", "csv", "dataclasses",
+                 "inspect")
         added = {}
         import cowsec, cowsec.cli
+
+        def run(step, *argv):
+            with redirect_stdout(io.StringIO()):
+                cowsec.cli.main(argv)
+            added[step] = [m for m in heavy if m in sys.modules and m not in bare]
+
         added["import"] = [m for m in heavy if m in sys.modules and m not in bare]
-        with redirect_stdout(io.StringIO()):
-            cowsec.cli.main(["attack-report", "--mu", "0.2", "--length", "40"])
-            added["attack-report"] = [m for m in heavy if m in sys.modules and m not in bare]
-            cowsec.cli.main(["--help"])
-        added["--help"] = [m for m in heavy if m in sys.modules and m not in bare]
+        run("attack-report", "attack-report", "--mu", "0.2", "--length", "40")
+        run("--help", "--help")
+        out = sys.argv[1]
+        run("qber-curves", "qber-curves", "--length", "0:10:5", "--out", out)
+        run("optimal-intensity", "optimal-intensity", "--length", "1:10:5", "--out", out)
+        run("validate-mc", "validate-mc", "--pulses", "1000", "--out", out)
+        import json
         print(json.dumps(added))
     """)
     result = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, str(tmp_path / "out")],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
         check=True,
     )
-    assert json.loads(result.stdout) == {"import": [], "attack-report": [], "--help": []}
+    added = json.loads(result.stdout)
+    assert {step: added[step] for step in ("import", "attack-report", "--help")} == {
+        "import": [], "attack-report": [], "--help": []
+    }
+    for step in ("qber-curves", "optimal-intensity"):
+        assert "cowsec.sweeps" in added[step]
+        assert not {"numpy", "cowsec.montecarlo", "dataclasses", "inspect"} & set(added[step])
+    assert "numpy" in added["validate-mc"] and "dataclasses" not in added["validate-mc"]
 
 
 def test_package_root_resolves_sweep_names_lazily():
