@@ -9,13 +9,14 @@ passive one and where security collapses entirely. Run:
 
 import sys
 
-from cowsec import SweepSpec, sweep_qber_curves
+from cowsec import sweep_qber_curves
 
 
 def main() -> None:
     out = sys.argv[1] if len(sys.argv) > 1 else "qber_curves.csv"
-    spec = SweepSpec(
-        mu_list=(0.1, 0.2, 0.5),
+    mu_list = (0.1, 0.2, 0.5)
+    rows = sweep_qber_curves(
+        mu_list=mu_list,
         delta=0.2,
         decoy_fraction=0.1,
         l_min=0.0,
@@ -23,13 +24,12 @@ def main() -> None:
         l_step=1.0,
         attacks=("bs", "active"),
         output_path=out,
-        format="csv",
+        fmt="csv",
     )
-    rows = sweep_qber_curves(spec)
     print(f"wrote {len(rows)} rows to {out}")
     print()
     print("landmarks per source intensity:")
-    for mu in spec.mu_list:
+    for mu in mu_list:
         curve = [r for r in rows if r.mu == mu]
         crossover = next(
             (r.length_km for r in curve if 0 < r.length_km and r.qber_active < r.qber_bs),

@@ -18,9 +18,9 @@ Modules:
 
 The package root re-exports the names the demos use; everything else is
 imported from its module, e.g. ``from cowsec.montecarlo import
-simulate_active_attack``. The sweep names load ``sweeps`` on first use,
-so that importing the package (and the closed-form commands of ``cli``)
-does not pay for it. Records are immutable ``typing.NamedTuple``s, so no
+simulate_active_attack``. The three sweep names load ``sweeps`` on first
+use, so that importing the package (and the closed-form commands of
+``cli``) does not pay for it. Records are immutable ``typing.NamedTuple``s, so no
 module loads ``dataclasses``: use ``x._replace(...)`` and ``x._asdict()``.
 """
 
@@ -44,7 +44,6 @@ __all__ = [
     "critical_length",
     "fully_insecure_length",
     "key_rate_margin",
-    "SweepSpec",
     "sweep_qber_curves",
     "sweep_optimal_intensity",
     "run_montecarlo_validation",
@@ -53,7 +52,7 @@ __all__ = [
 
 def __getattr__(name: str) -> object:
     # Called only for names not bound above, so the names of __all__ that
-    # reach it are the four from sweeps. Not cached in the package globals:
+    # reach it are the three from sweeps. Not cached in the package globals:
     # each access reads the current binding in sweeps, so a function
     # patched there is seen here too.
     if name in __all__:

@@ -177,7 +177,7 @@ def active_eve_info(plan: ActiveAttackPlan) -> float:
         return 0.0
     if plan.block_fraction >= 1.0 - plan.p_conc_inf:  # cap reached, exactly one bit
         return 1.0
-    return min(1.0, plan.p_conc_inf / (1.0 - plan.block_fraction))
+    return plan.p_conc_inf / (1.0 - plan.block_fraction)
 
 
 def optimal_mu_e(params: ProtocolParams, length_km: float) -> float:

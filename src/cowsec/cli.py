@@ -79,11 +79,11 @@ def _arg(*flags: str, **options: Any) -> _Argument:
 
 
 def _cmd_qber_curves(args: argparse.Namespace) -> int:
-    from .sweeps import SweepSpec, sweep_qber_curves
+    from .sweeps import sweep_qber_curves
 
-    l_min, l_max, l_step = _parse_range(args.length)
-    spec = SweepSpec(
-        mu_list=_parse_mu_list(args.mu),
+    l_min, l_max, l_step = _parse_range(args.length)  # a malformed --length is reported first
+    rows = sweep_qber_curves(
+        _parse_mu_list(args.mu),
         delta=args.delta,
         decoy_fraction=args.decoy_fraction,
         l_min=l_min,
@@ -91,9 +91,8 @@ def _cmd_qber_curves(args: argparse.Namespace) -> int:
         l_step=l_step,
         attacks=_parse_attacks(args.attacks),
         output_path=args.out,
-        format=args.format,
+        fmt=args.format,
     )
-    rows = sweep_qber_curves(spec)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

@@ -16,7 +16,7 @@ import csv
 import json
 import math
 from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__
 from .attacks import _margin, active_attack, bs_attack, optimal_source_intensity
@@ -26,7 +26,6 @@ if TYPE_CHECKING:  # the simulator pulls in numpy; only validation runs need it
     from .montecarlo import DistortionReport
 
 __all__ = [
-    "SweepSpec",
     "SweepRow",
     "CheckResult",
     "ValidationReport",
@@ -49,52 +48,6 @@ _MAX_GRID_POINTS = 10**6
 def _check_format(fmt: str) -> None:
     if fmt not in _FORMATS:
         raise ValueError(f"format must be one of {_FORMATS}, got {fmt}")
-
-
-class _SweepSpecFields(NamedTuple):
-    mu_list: Tuple[float, ...]
-    delta: float
-    decoy_fraction: float
-    l_min: float
-    l_max: float
-    l_step: float
-    attacks: Tuple[str, ...]
-    output_path: Optional[str]
-    format: str
-
-
-class SweepSpec(_SweepSpecFields):
-    """Resolved configuration of a critical-QBER sweep, checked also through _replace and _make."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        mu_list: Tuple[float, ...],
-        delta: float = 0.2,
-        decoy_fraction: float = 0.1,
-        l_min: float = 0.0,
-        l_max: float = 150.0,
-        l_step: float = 1.0,
-        attacks: Tuple[str, ...] = ("bs", "active"),
-        output_path: Optional[str] = None,
-        format: str = "csv",
-    ) -> SweepSpec:
-        if not mu_list:
-            raise ValueError("mu_list must not be empty")
-        for mu in mu_list:
-            ProtocolParams(mu, decoy_fraction, delta)
-        _grid_intervals(l_min, l_max, l_step)
-        if not attacks or any(a not in _ATTACK_NAMES for a in attacks):
-            raise ValueError(f"attacks must be a non-empty subset of {_ATTACK_NAMES}")
-        _check_format(format)
-        return super().__new__(
-            cls, mu_list, delta, decoy_fraction, l_min, l_max, l_step, attacks, output_path, format
-        )
-
-    @classmethod
-    def _make(cls, iterable: Iterable[object]) -> SweepSpec:  # _replace builds through _make
-        return cls(*iterable)
 
 
 class SweepRow(NamedTuple):
@@ -131,8 +84,13 @@ _CSV_LINES = {False: _csv_line("false"), True: _csv_line("true")}
 _FLOAT_CELLS = attrgetter(*(column for column in _COLUMNS if column != "fully_insecure"))
 
 
-def _grid_intervals(l_min: float, l_max: float, l_step: float) -> int:
-    """Number of steps in the inclusive grid l_min:l_max:l_step, checked against the cap."""
+def length_grid(l_min: float, l_max: float, l_step: float) -> List[float]:
+    """Inclusive arithmetic length grid; 0:150:1 yields 151 points.
+
+    Raises ValueError for non-finite bounds, a step that is not positive,
+    a negative start, an end below the start or a grid of more than
+    _MAX_GRID_POINTS points, before building it.
+    """
     grid = f"length range {l_min}:{l_max}:{l_step}"
     if not all(map(math.isfinite, (l_min, l_max, l_step))):
         raise ValueError(f"{grid} must be finite")
@@ -145,17 +103,7 @@ def _grid_intervals(l_min: float, l_max: float, l_step: float) -> int:
     steps = (l_max - l_min) / l_step + 1e-9
     if not steps < _MAX_GRID_POINTS:
         raise ValueError(f"{grid} has more than {_MAX_GRID_POINTS} points, the cap on a sweep grid")
-    return int(math.floor(steps))
-
-
-def length_grid(l_min: float, l_max: float, l_step: float) -> List[float]:
-    """Inclusive arithmetic length grid; 0:150:1 yields 151 points.
-
-    Raises ValueError for non-finite bounds, a step that is not positive,
-    a negative start, an end below the start or a grid of more than
-    _MAX_GRID_POINTS points, before building it.
-    """
-    return [l_min + k * l_step for k in range(_grid_intervals(l_min, l_max, l_step) + 1)]
+    return [l_min + k * l_step for k in range(int(math.floor(steps)) + 1)]
 
 
 def _qber_row(params: ProtocolParams, length_km: float, attacks: Sequence[str]) -> SweepRow:
@@ -177,18 +125,41 @@ def _qber_row(params: ProtocolParams, length_km: float, attacks: Sequence[str]) 
     )
 
 
-def sweep_qber_curves(spec: SweepSpec) -> List[SweepRow]:
+def sweep_qber_curves(
+    mu_list: Sequence[float],
+    delta: float = 0.2,
+    decoy_fraction: float = 0.1,
+    l_min: float = 0.0,
+    l_max: float = 150.0,
+    l_step: float = 1.0,
+    attacks: Sequence[str] = ("bs", "active"),
+    output_path: Optional[str] = None,
+    fmt: str = "csv",
+) -> List[SweepRow]:
     """Critical-QBER curves over a length grid, one row per (mu, length).
 
-    Rows come back sorted by (mu, length). When spec.output_path is set
-    the table is also written in spec.format.
+    Every setting is checked before any row is computed. Rows come back
+    sorted by (mu, length). When output_path is set the table is also
+    written in fmt.
     """
-    lengths = length_grid(spec.l_min, spec.l_max, spec.l_step)
-    params_list = [ProtocolParams(mu, spec.decoy_fraction, spec.delta) for mu in spec.mu_list]
-    rows = [_qber_row(params, l, spec.attacks) for params in params_list for l in lengths]
+    if not mu_list:
+        raise ValueError("mu_list must not be empty")
+    params_list = [ProtocolParams(mu, decoy_fraction, delta) for mu in mu_list]
+    lengths = length_grid(l_min, l_max, l_step)
+    if not attacks or any(a not in _ATTACK_NAMES for a in attacks):
+        raise ValueError(f"attacks must be a non-empty subset of {_ATTACK_NAMES}")
+    _check_format(fmt)
+    rows = [_qber_row(params, l, attacks) for params in params_list for l in lengths]
     rows.sort(key=attrgetter("mu", "length_km"))
-    if spec.output_path is not None:
-        write_sweep(spec.output_path, rows, _spec_config(spec, "qber-curves"), spec.format)
+    if output_path is not None:
+        config = {
+            "command": "qber-curves",
+            "mu": ",".join(f"{m:.17g}" for m in mu_list),
+            **_channel_config(delta, decoy_fraction, (l_min, l_max, l_step)),
+            "attacks": ",".join(attacks),
+            "format": fmt,
+        }
+        write_sweep(output_path, rows, config, fmt)
     return rows
 
 
@@ -214,9 +185,7 @@ def sweep_optimal_intensity(
     if output_path is not None:
         config = {
             "command": "optimal-intensity",
-            "delta": _fmt_float(delta),
-            "decoy_fraction": _fmt_float(f),
-            "length": f"{_fmt_float(l_min)}:{_fmt_float(l_max)}:{_fmt_float(l_step)}",
+            **_channel_config(delta, f, (l_min, l_max, l_step)),
             "format": fmt,
         }
         write_sweep(output_path, rows, config, fmt)
@@ -226,19 +195,12 @@ def sweep_optimal_intensity(
 # ---------------------------------------------------------------------------
 # serialisation
 
-def _fmt_float(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _spec_config(spec: SweepSpec, command: str) -> Dict[str, str]:
+def _channel_config(delta: float, f: float, grid: Tuple[float, float, float]) -> Dict[str, str]:
+    """The header keys both sweeps share, the channel and the length grid, at %.17g."""
     return {
-        "command": command,
-        "mu": ",".join(_fmt_float(m) for m in spec.mu_list),
-        "delta": _fmt_float(spec.delta),
-        "decoy_fraction": _fmt_float(spec.decoy_fraction),
-        "length": f"{_fmt_float(spec.l_min)}:{_fmt_float(spec.l_max)}:{_fmt_float(spec.l_step)}",
-        "attacks": ",".join(spec.attacks),
-        "format": spec.format,
+        "delta": f"{delta:.17g}",
+        "decoy_fraction": f"{f:.17g}",
+        "length": ":".join(f"{x:.17g}" for x in grid),
     }
 
 
@@ -262,9 +224,11 @@ def write_sweep(path: str, rows: Sequence[SweepRow], config: Dict[str, str], fmt
 def _finite_or_none(value: object) -> object:
     if isinstance(value, float) and not math.isfinite(value):
         return None
+    if hasattr(value, "_asdict"):  # a record is written as the object of its fields
+        value = value._asdict()
     if isinstance(value, dict):
         return {k: _finite_or_none(v) for k, v in value.items()}
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return [_finite_or_none(v) for v in value]
     return value
 

@@ -28,7 +28,7 @@ from cowsec.core import (
     holevo_two_pure,
 )
 from cowsec.montecarlo import decoy_distortion
-from cowsec.sweeps import SweepSpec, run_montecarlo_validation, sweep_qber_curves
+from cowsec.sweeps import run_montecarlo_validation, sweep_qber_curves
 
 
 def verdict(number: int, description: str, ok: bool) -> None:
@@ -204,7 +204,7 @@ def test_criterion_09_determinism(tmp_path):
 
     tables = [tmp_path / "s1.csv", tmp_path / "s2.csv"]
     for table in tables:
-        sweep_qber_curves(SweepSpec(mu_list=(0.1, 0.5), l_max=60.0, l_step=2.0, output_path=str(table)))
+        sweep_qber_curves((0.1, 0.5), l_max=60.0, l_step=2.0, output_path=str(table))
     sweeps_identical = tables[0].read_bytes() == tables[1].read_bytes()
 
     verdict(9, "byte-identical validation reports and sweeps",

@@ -10,7 +10,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cowsec.attacks import (
@@ -216,6 +216,27 @@ def test_eve_info_monotone_in_block_fraction():
     assert all(i <= 1.0 for i in infos)
     assert all(b >= a for a, b in zip(infos, infos[1:]))
     assert infos[-1] == 1.0
+
+
+# Just below the blocking cap b < fl(1 - p), the plain quotient p / (1 - b)
+# must stay a probability without any clamp.
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    p_conc_inf=st.one_of(
+        st.floats(min_value=1e-300, max_value=1e-12), st.floats(min_value=1e-12, max_value=1.0)
+    ),
+    ulps=st.integers(min_value=1, max_value=5),
+)
+@example(p_conc_inf=1e-300, ulps=1)
+@example(p_conc_inf=2.0**-54, ulps=1)
+@example(p_conc_inf=0.5 + 2.0**-53, ulps=1)
+def test_eve_info_just_below_the_cap_is_a_probability(p_conc_inf, ulps):
+    b = 1.0 - p_conc_inf
+    for _ in range(ulps):
+        b = math.nextafter(b, -math.inf)
+    assume(b >= 0.0)
+    plan = ActiveAttackPlan(0.1, 0.1, b, p_conc_inf, p_conc_inf, p_conc_inf)
+    assert 0.0 <= active_eve_info(plan) <= 1.0
 
 
 def test_information_balance_identity_on_random_uncapped_plans():

@@ -1,5 +1,6 @@
 """Sweep tables, serialisation round-trips, validation harness and CLI."""
 
+import ast
 import csv
 import hashlib
 import io
@@ -31,7 +32,7 @@ from cowsec.attacks import (
 from cowsec.sweeps import (
     CheckResult,
     SweepRow,
-    SweepSpec,
+    _json_text,
     _make_check,
     length_grid,
     read_sweep_csv,
@@ -56,8 +57,8 @@ def rows_equal(a: SweepRow, b: SweepRow) -> bool:
     return True
 
 
-def small_spec(tmp_path=None, fmt="csv", attacks=("bs", "active")):
-    return SweepSpec(
+def small_sweep(tmp_path=None, fmt="csv", attacks=("bs", "active")):
+    return sweep_qber_curves(
         mu_list=(0.1, 0.5),
         delta=0.2,
         decoy_fraction=0.1,
@@ -66,12 +67,12 @@ def small_spec(tmp_path=None, fmt="csv", attacks=("bs", "active")):
         l_step=5.0,
         attacks=attacks,
         output_path=str(tmp_path) if tmp_path else None,
-        format=fmt,
+        fmt=fmt,
     )
 
 
 # ---------------------------------------------------------------------------
-# spec validation and grids
+# sweep validation and grids
 
 
 @pytest.mark.parametrize(
@@ -86,25 +87,22 @@ def small_spec(tmp_path=None, fmt="csv", attacks=("bs", "active")):
         {"mu_list": (0.1,), "l_min": 10.0, "l_max": 5.0},
         {"mu_list": (0.1,), "attacks": ()},
         {"mu_list": (0.1,), "attacks": ("bs", "ufo")},
-        {"mu_list": (0.1,), "format": "xml"},
+        {"mu_list": (0.1,), "fmt": "xml"},
         {"mu_list": (math.nan,)},
         {"mu_list": (math.inf,)},
         {"mu_list": (0.1,), "delta": math.inf},
     ],
 )
-def test_sweep_spec_validation(kwargs):
+def test_sweep_spec_validation(kwargs, tmp_path, monkeypatch):
+    # every setting is checked before a row is computed or a file opened
+    def no_row(*args):
+        pytest.fail("a row was computed before the settings were checked")
+
+    monkeypatch.setattr("cowsec.sweeps._qber_row", no_row)
+    out = tmp_path / "table"
     with pytest.raises(ValueError):
-        SweepSpec(**kwargs)
-
-
-def test_sweep_spec_validates_through_replace_and_make():
-    spec = SweepSpec(mu_list=(0.1,))
-    with pytest.raises(ValueError, match="positive step"):
-        spec._replace(l_step=0.0)
-    with pytest.raises(ValueError, match="positive step"):
-        SweepSpec._make([*spec[:5], 0.0, *spec[6:]])
-    moved = spec._replace(l_step=2.0)
-    assert moved.l_step == 2.0 and type(moved) is SweepSpec
+        sweep_qber_curves(**kwargs, output_path=str(out))
+    assert not out.exists()
 
 
 def test_every_record_is_immutable():
@@ -116,11 +114,11 @@ def test_every_record_is_immutable():
     report = run_montecarlo_validation(params, 20.0, 1000, 1)
     records = [
         params, channel_point(params, 20.0), active.plan, active,
-        optimal_source_intensity(0.2, 0.1, 20.0), SweepSpec(mu_list=(0.2,)), SweepRow(0.2, 20.0),
+        optimal_source_intensity(0.2, 0.1, 20.0), SweepRow(0.2, 20.0),
         report.checks[0], report, report.distortion, report.distortion.rows[0], ClassTally(),
         TrialStats(1, 1),
     ]
-    assert len({type(record) for record in records}) == 13
+    assert len({type(record) for record in records}) == 12
     for record in records:
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], record[0])
@@ -171,9 +169,9 @@ def test_library_sweeps_reject_infinite_lengths():
     with pytest.raises(ValueError, match="finite"):
         sweep_optimal_intensity(0.2, 0.1, 0.0, math.inf, 1.0)
     with pytest.raises(ValueError, match="finite"):
-        SweepSpec(mu_list=(0.1,), l_max=math.inf)
+        sweep_qber_curves((0.1,), l_max=math.inf)
     with pytest.raises(ValueError, match="cap"):
-        SweepSpec(mu_list=(0.1,), l_max=1e12, l_step=1e-6)
+        sweep_qber_curves((0.1,), l_max=1e12, l_step=1e-6)
 
 
 @pytest.mark.parametrize("command", ["qber-curves", "optimal-intensity"])
@@ -211,8 +209,7 @@ def test_qber_row_margin_is_zero_inside_the_fully_insecure_band(tmp_path):
 
 
 def test_qber_sweep_shape_and_endpoints():
-    spec = SweepSpec(mu_list=(0.1, 0.2, 0.5))
-    rows = sweep_qber_curves(spec)
+    rows = sweep_qber_curves((0.1, 0.2, 0.5))
     assert len(rows) == 3 * 151
     assert [r.mu for r in rows] == sorted(r.mu for r in rows)
     zero_length = [r for r in rows if r.length_km == 0.0]
@@ -228,9 +225,7 @@ def test_qber_sweep_sorts_rows_by_mu_then_length():
     # A repeated mu yields its rows twice; sorting is stable, so the equal
     # (mu, length) keys of the two copies sit next to each other.
     lengths = length_grid(0.0, 60.0, 7.5)
-    rows = sweep_qber_curves(
-        SweepSpec(mu_list=(0.5, 0.1, 0.5, 0.02), l_min=0.0, l_max=60.0, l_step=7.5)
-    )
+    rows = sweep_qber_curves((0.5, 0.1, 0.5, 0.02), l_min=0.0, l_max=60.0, l_step=7.5)
     expected = []
     for mu, copies in ((0.02, 1), (0.1, 1), (0.5, 2)):
         params = ProtocolParams(mu=mu, decoy_fraction=0.1, delta=0.2)
@@ -253,8 +248,7 @@ def test_qber_sweep_sorts_rows_by_mu_then_length():
 
 
 def test_qber_sweep_single_attack_leaves_nan_columns():
-    spec = small_spec(attacks=("bs",))
-    rows = sweep_qber_curves(spec)
+    rows = small_sweep(attacks=("bs",))
     assert all(math.isnan(r.qber_active) and math.isnan(r.margin) for r in rows)
     assert all(not math.isnan(r.qber_bs) for r in rows)
 
@@ -266,8 +260,7 @@ def test_qber_sweep_single_attack_leaves_nan_columns():
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_round_trip_preserves_rows_exactly(tmp_path, fmt):
     path = tmp_path / f"table.{fmt}"
-    spec = small_spec(path, fmt=fmt)
-    rows = sweep_qber_curves(spec)
+    rows = small_sweep(path, fmt=fmt)
     header, back = (read_sweep_csv if fmt == "csv" else read_sweep_json)(str(path))
     assert len(back) == len(rows)
     assert all(rows_equal(a, b) for a, b in zip(rows, back))
@@ -341,8 +334,8 @@ def test_csv_writer_matches_the_csv_module_on_awkward_values(tmp_path):
 
 @pytest.mark.parametrize("attacks", [("bs",), ("active",), ("bs", "active")])
 def test_csv_writer_matches_the_csv_module_on_qber_sweeps(attacks, tmp_path):
-    spec = SweepSpec(mu_list=(0.02, 0.5), l_max=80.0, l_step=2.5, attacks=attacks)
-    assert_written_as_oracle(tmp_path, sweep_qber_curves(spec))
+    rows = sweep_qber_curves((0.02, 0.5), l_max=80.0, l_step=2.5, attacks=attacks)
+    assert_written_as_oracle(tmp_path, rows)
 
 
 def test_csv_writer_matches_the_csv_module_on_optimal_intensity_sweep(tmp_path):
@@ -380,6 +373,15 @@ def test_write_sweep_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError, match="xml"):
         write_sweep(str(path), [], {"command": "test"}, "xml")
     assert not path.exists()
+
+
+def test_json_text_writes_nested_records_as_objects_and_non_finite_as_null():
+    text = _json_text({"row": SweepRow(0.2, 1.0), "pair": (1.0, math.nan)})
+    payload = strict_json(text)
+    assert list(payload["row"]) == list(SweepRow._fields)
+    assert payload["row"]["mu"] == 0.2 and payload["row"]["qber_bs"] is None
+    assert payload["row"]["fully_insecure"] is False
+    assert payload["pair"] == [1.0, None]
 
 
 def test_write_sweep_unwritable_path_has_context():
@@ -774,13 +776,37 @@ def test_package_root_resolves_sweep_names_lazily():
     namespace = {}
     exec("from cowsec import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(cowsec.__all__)
-    assert len(cowsec.__all__) == 12
-    for name in ("SweepSpec", "sweep_qber_curves", "sweep_optimal_intensity",
-                 "run_montecarlo_validation"):
+    assert len(cowsec.__all__) == 11
+    for name in ("sweep_qber_curves", "sweep_optimal_intensity", "run_montecarlo_validation"):
         assert getattr(cowsec, name) is getattr(cowsec.sweeps, name)
         assert namespace[name] is getattr(cowsec.sweeps, name)
     with pytest.raises(AttributeError, match="no_such_name"):
         cowsec.no_such_name
+
+
+def test_every_imported_name_is_used_or_exported():
+    # A deletion that leaves an import behind fails here. Annotations are
+    # expressions of the tree, so a name read only by one counts as used.
+    unused = {}
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = {
+            name
+            for node in tree.body
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__"
+            for name in ast.literal_eval(node.value)
+        }
+        if imported - used - exported:
+            unused[path.name] = sorted(imported - used - exported)
+    assert unused == {}
 
 
 def test_cli_validate_mc_failure_exit_code(monkeypatch, tmp_path, capsys):
