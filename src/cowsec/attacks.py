@@ -19,7 +19,6 @@ import math
 from typing import NamedTuple, Optional
 
 from .core import (
-    ChannelPoint,
     ProtocolParams,
     attenuate,
     binary_entropy_inverse,
@@ -29,8 +28,6 @@ from .core import (
 )
 
 __all__ = [
-    "BEAM_SPLITTING",
-    "ACTIVE_BEAM_SPLITTING",
     "FULLY_INSECURE_TOL",
     "ActiveAttackPlan",
     "AttackReport",
@@ -38,16 +35,12 @@ __all__ = [
     "bs_attack",
     "active_plan",
     "active_eve_info",
-    "optimal_mu_e",
     "critical_length",
     "active_attack",
     "fully_insecure_length",
     "key_rate_margin",
     "optimal_source_intensity",
 ]
-
-BEAM_SPLITTING = "beam_splitting"
-ACTIVE_BEAM_SPLITTING = "active_beam_splitting"
 
 # Eve's information is treated as unity (no added errors needed) above this.
 FULLY_INSECURE_TOL = 1e-12
@@ -78,7 +71,6 @@ class ActiveAttackPlan(NamedTuple):
 class AttackReport(NamedTuple):
     """Outcome of one attack analysis at one channel point."""
 
-    attack_kind: str
     i_ae: float
     qber_critical: float
     fully_insecure: bool
@@ -102,16 +94,14 @@ def bs_attack(params: ProtocolParams, length_km: float) -> AttackReport:
     QBER never reaches zero.
     """
     point = channel_point(params, length_km)
-    return _report(BEAM_SPLITTING, holevo_two_pure(coherent_pair_overlap(point.mu_e_max)))
+    return _report(holevo_two_pure(coherent_pair_overlap(point.mu_e_max)))
 
 
-def _report(
-    attack_kind: str, i_ae: float, plan: Optional[ActiveAttackPlan] = None
-) -> AttackReport:
+def _report(i_ae: float, plan: Optional[ActiveAttackPlan] = None) -> AttackReport:
     """Critical QBER where Bob's 1 - h2(Q) falls to Eve's i_ae; zero once she knows everything."""
     insecure = _fully_insecure(i_ae)
     qber = 0.0 if insecure else binary_entropy_inverse(1.0 - i_ae)
-    return AttackReport(attack_kind, i_ae, qber, insecure, plan)
+    return AttackReport(i_ae, qber, insecure, plan)
 
 
 def _fully_insecure(i_ae: float) -> bool:
@@ -125,13 +115,15 @@ def _exceeds_budget(mu_e: float, mu_e_max: float) -> bool:
 
 
 def active_plan(
-    params: ProtocolParams,
-    length_km: float,
-    mu_e: float,
-    *,
-    _point: Optional[ChannelPoint] = None,
+    params: ProtocolParams, length_km: float, mu_e: Optional[float] = None
 ) -> ActiveAttackPlan:
-    """Build the active-attack working point for a given diverted intensity.
+    """Build the active-attack working point for a diverted intensity mu_e.
+
+    With mu_e=None Eve takes her information-maximising intensity
+    min(mu_e_max, mu/2). Her uncapped information is proportional to
+    (1 - exp(-(mu - mu_e))) * (1 - exp(-mu_e)), symmetric about mu/2, so
+    the unconstrained optimum sits at mu/2 and the loss budget truncates
+    it on short channels.
 
     The blocking fraction balances the intensity budget: Bob's expected
     conclusive rate at the raised forward intensity mu_b_prime, thinned by
@@ -139,13 +131,14 @@ def active_plan(
     (1 - b) * (1 - exp(-mu_b_prime)) = 1 - exp(-mu_b). Blocking beyond
     Eve's inconclusive fraction on information states is useless, so the
     raw balance value is capped there (and clamped at zero against
-    rounding when mu_e equals the full budget). A caller that already holds
-    channel_point(params, length_km) passes it as _point.
+    rounding when mu_e equals the full budget).
     """
-    point = channel_point(params, length_km) if _point is None else _point
-    if not mu_e >= 0:
+    point = channel_point(params, length_km)
+    if mu_e is None:
+        mu_e = params.mu / 2.0
+    elif not mu_e >= 0:
         raise ValueError(f"diverted intensity must be non-negative, got {mu_e}")
-    if _exceeds_budget(mu_e, point.mu_e_max):
+    elif _exceeds_budget(mu_e, point.mu_e_max):
         raise ValueError(
             f"diverted intensity {mu_e} exceeds the loss budget "
             f"{point.mu_e_max} at {length_km} km"
@@ -180,18 +173,6 @@ def active_eve_info(plan: ActiveAttackPlan) -> float:
     return plan.p_conc_inf / (1.0 - plan.block_fraction)
 
 
-def optimal_mu_e(params: ProtocolParams, length_km: float) -> float:
-    """Eve's information-maximising diverted intensity: min(mu_e_max, mu/2).
-
-    The uncapped information is proportional to
-    (1 - exp(-(mu - mu_e))) * (1 - exp(-mu_e)), symmetric about mu/2, so
-    the unconstrained optimum sits at mu/2 and the loss budget truncates
-    it on short channels.
-    """
-    point = channel_point(params, length_km)
-    return min(point.mu_e_max, params.mu / 2.0)
-
-
 def critical_length(delta: float) -> float:
     """Length beyond which half the source intensity fits in the loss budget.
 
@@ -205,11 +186,9 @@ def critical_length(delta: float) -> float:
 
 
 def active_attack(params: ProtocolParams, length_km: float) -> AttackReport:
-    """Active beam-splitting attack at Eve's optimal diverted intensity."""
-    point = channel_point(params, length_km)
-    mu_e = min(point.mu_e_max, params.mu / 2.0)  # optimal_mu_e, from the point at hand
-    plan = active_plan(params, length_km, mu_e, _point=point)
-    return _report(ACTIVE_BEAM_SPLITTING, active_eve_info(plan), plan)
+    """Active beam-splitting attack at Eve's optimal plan, active_plan(params, length_km)."""
+    plan = active_plan(params, length_km)
+    return _report(active_eve_info(plan), plan)
 
 
 def fully_insecure_length(params: ProtocolParams) -> float:
@@ -246,13 +225,12 @@ def key_rate_margin(params: ProtocolParams, length_km: float) -> float:
     """Secret bits per sent pulse left to Alice and Bob under the active attack.
 
     Bob's information is the erasure-channel capacity 1 - exp(-mu_b) per
-    pulse; Eve's share of it is active_eve_info at her optimal plan. The
-    margin (1 - exp(-mu_b)) * (1 - i_ae) is zero exactly in the fully
-    insecure regime.
+    pulse; Eve's share of it is active_eve_info at her optimal plan,
+    active_plan(params, length_km). The margin (1 - exp(-mu_b)) * (1 - i_ae)
+    is zero exactly in the fully insecure regime.
     """
     mu_b = attenuate(params.mu, params.delta, length_km)
-    plan = active_plan(params, length_km, optimal_mu_e(params, length_km))
-    return _margin(mu_b, active_eve_info(plan))
+    return _margin(mu_b, active_eve_info(active_plan(params, length_km)))
 
 
 def _margin(mu_b: float, i_ae: float) -> float:

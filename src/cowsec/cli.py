@@ -47,8 +47,6 @@ def _parse_mu_list(text: str) -> Tuple[float, ...]:
         values = tuple(float(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse intensity list {text!r}") from None
-    if not values:
-        raise ValueError("empty intensity list")
     if not all(map(math.isfinite, values)):
         raise ValueError(f"--mu values must be finite, got {text!r}")
     return values

@@ -347,7 +347,8 @@ def simulate_active_attack(
     """Simulate the active beam-splitting attack under a given plan.
 
     The beam splitter sends independent coherent pulses of intensity mu_e
-    to Eve and mu_b_prime toward Bob. Eve measures both slots, blocks
+    to Eve and mu_b_prime toward Bob. Eve measures both slots, each one
+    conclusive with the plan's p_conc_inf = 1 - exp(-mu_e), blocks
     inconclusive pulses i.i.d. per blocking_probability, so that a share
     b of information pulses is blocked on average, and forwards the rest
     losslessly. Raises ValueError for a plan outside the loss budget or
@@ -357,9 +358,10 @@ def simulate_active_attack(
         raise ValueError(f"need at least one pulse, got {n_pulses}")
     _check_plan(params, length_km, plan)
     p_bob = -math.expm1(-plan.mu_b_prime)
-    p_eve = -math.expm1(-plan.mu_e)
     beta = blocking_probability(plan)
-    return _simulate(params.decoy_fraction, p_bob, p_eve, beta, n_pulses, seed, first_pulse)
+    return _simulate(
+        params.decoy_fraction, p_bob, plan.p_conc_inf, beta, n_pulses, seed, first_pulse
+    )
 
 
 def _stream_pair(

@@ -17,7 +17,6 @@ from cowsec.attacks import (
     critical_length,
     fully_insecure_length,
     key_rate_margin,
-    optimal_mu_e,
     optimal_source_intensity,
 )
 from cowsec.core import (
@@ -130,7 +129,7 @@ def test_criterion_05_eve_intensity_optimality():
         length = rng.uniform(0.1, 120.0)
         p = params(mu, delta=delta)
         point = channel_point(p, length)
-        mu_star = optimal_mu_e(p, length)
+        mu_star = active_plan(p, length).mu_e
         grid = np.linspace(0.0, point.mu_e_max, 10_000)
         p_inf = -np.expm1(-grid)
         p_bob = -np.expm1(-point.mu_b)
@@ -181,7 +180,7 @@ def test_criterion_08_montecarlo_cross_validation():
     by_name = {c.name: c for c in report.checks}
     rates_ok = all(by_name[name].status == "pass" for name in wanted)
 
-    half_plan = active_plan(p, 20.0, optimal_mu_e(p, 20.0))
+    half_plan = active_plan(p, 20.0)
     assert half_plan.mu_e == 0.1  # the mu/2 branch at this length
     flagged = {
         (r.pulse_class, r.pattern)

@@ -14,8 +14,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cowsec.attacks import (
-    ACTIVE_BEAM_SPLITTING,
-    BEAM_SPLITTING,
     FULLY_INSECURE_TOL,
     ActiveAttackPlan,
     active_attack,
@@ -25,7 +23,6 @@ from cowsec.attacks import (
     critical_length,
     fully_insecure_length,
     key_rate_margin,
-    optimal_mu_e,
     optimal_source_intensity,
 )
 from cowsec.core import (
@@ -84,7 +81,6 @@ def grid_eve_info(mu, delta, length_km, n=10_000):
 
 def test_bs_attack_zero_length():
     report = bs_attack(params(0.7), 0.0)
-    assert report.attack_kind == BEAM_SPLITTING
     assert report.i_ae == 0.0
     assert report.qber_critical == 0.5
     assert not report.fully_insecure
@@ -271,8 +267,8 @@ def test_information_balance_identity_on_random_uncapped_plans():
 def test_optimal_mu_e_branches():
     p = params(0.5)
     short = channel_point(p, 10.0)
-    assert optimal_mu_e(p, 10.0) == short.mu_e_max  # below the critical length
-    assert optimal_mu_e(p, 40.0) == 0.25  # above it
+    assert active_plan(p, 10.0).mu_e == short.mu_e_max  # below the critical length
+    assert active_plan(p, 40.0).mu_e == 0.25  # above it
 
 
 def test_optimal_mu_e_at_critical_length_both_branches_agree():
@@ -280,7 +276,7 @@ def test_optimal_mu_e_at_critical_length_both_branches_agree():
     for mu in (0.1, 0.35, 0.8, 1.6):
         point = channel_point(params(mu), l_crit)
         assert point.mu_e_max == pytest.approx(mu / 2.0, abs=1e-9)
-        assert optimal_mu_e(params(mu), l_crit) == pytest.approx(mu / 2.0, abs=1e-9)
+        assert active_plan(params(mu), l_crit).mu_e == pytest.approx(mu / 2.0, abs=1e-9)
 
 
 def test_optimal_mu_e_matches_grid_argmax():
@@ -289,7 +285,7 @@ def test_optimal_mu_e_matches_grid_argmax():
         mu = rng.uniform(0.05, 1.2)
         delta = rng.uniform(0.1, 0.4)
         length = rng.uniform(0.1, 120.0)
-        mu_star = optimal_mu_e(params(mu, delta=delta), length)
+        mu_star = active_plan(params(mu, delta=delta), length).mu_e
         grid, info = grid_eve_info(mu, delta, length)
         step = grid[1] - grid[0]
         if info.max() >= 1.0 - 1e-12:
@@ -328,7 +324,6 @@ def test_critical_length_domain():
 
 def test_active_attack_zero_length():
     report = active_attack(params(0.3), 0.0)
-    assert report.attack_kind == ACTIVE_BEAM_SPLITTING
     assert report.i_ae == 0.0
     assert report.qber_critical == 0.5
     assert not report.fully_insecure

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cowsec import montecarlo
-from cowsec.attacks import active_plan, optimal_mu_e
+from cowsec.attacks import active_plan
 from cowsec.core import ProtocolParams, channel_point
 from cowsec.montecarlo import (
     ClassTally,
@@ -104,7 +104,7 @@ def test_no_attack_without_decoys():
 @pytest.mark.parametrize("length", [5.0, 20.0, 40.0])
 def test_active_attack_grid_rates(mu, length):
     p = params(mu)
-    plan = active_plan(p, length, optimal_mu_e(p, length))
+    plan = active_plan(p, length)
     stats = simulate_active_attack(p, length, plan, N, SEED)
     info = stats.info
     expect = policy_expectations(p, length, plan)
@@ -133,7 +133,7 @@ def test_active_attack_budget_identities_at_moderate_point():
     # the policy blocks information pulses at b, so the textbook budget
     # identities hold
     p = params(0.2)
-    plan = active_plan(p, 20.0, optimal_mu_e(p, 20.0))
+    plan = active_plan(p, 20.0)
     stats = simulate_active_attack(p, 20.0, plan, N, SEED)
     info = stats.info
     point = channel_point(p, 20.0)
@@ -152,7 +152,7 @@ def test_active_attack_budget_identities_at_moderate_point():
 
 def test_simulations_are_deterministic():
     p = params(0.2)
-    plan = active_plan(p, 20.0, optimal_mu_e(p, 20.0))
+    plan = active_plan(p, 20.0)
     a = simulate_active_attack(p, 20.0, plan, 200_000, SEED)
     b = simulate_active_attack(p, 20.0, plan, 200_000, SEED)
     assert a == b
@@ -161,7 +161,7 @@ def test_simulations_are_deterministic():
 
 def test_partition_independence():
     p = params(0.2)
-    plan = active_plan(p, 20.0, optimal_mu_e(p, 20.0))
+    plan = active_plan(p, 20.0)
     whole = simulate_active_attack(p, 20.0, plan, 300_000, SEED)
     parts = [
         simulate_active_attack(p, 20.0, plan, n, SEED, first_pulse=start)
@@ -229,7 +229,7 @@ def test_golden_counts_no_attack():
 )
 def test_golden_counts_active_attack(length, block_fraction, counts):
     p = params(0.2)
-    plan = active_plan(p, length, optimal_mu_e(p, length))
+    plan = active_plan(p, length)
     assert plan.block_fraction == block_fraction
     stats = simulate_active_attack(p, length, plan, GOLDEN_N, GOLDEN_SEED, first_pulse=5)
     assert stats == _golden(GOLDEN_N, *counts)
@@ -280,7 +280,7 @@ def test_golden_counts_active_attack(length, block_fraction, counts):
     ],
 )
 def test_golden_counts_kernel_branches(p, length, mu_e, beta, counts):
-    plan = active_plan(p, length, optimal_mu_e(p, length) if mu_e is None else mu_e)
+    plan = active_plan(p, length, mu_e)
     assert blocking_probability(plan) == beta
     stats = simulate_active_attack(p, length, plan, GOLDEN_N, GOLDEN_SEED, first_pulse=5)
     assert stats == _golden(GOLDEN_N, *counts)
@@ -390,7 +390,7 @@ def test_threshold_decision_matches_float_uniform(case):
 
 def test_tallies_do_not_depend_on_the_chunk_size(monkeypatch):
     p = params(0.2)
-    plan = active_plan(p, 20.0, optimal_mu_e(p, 20.0))
+    plan = active_plan(p, 20.0)
     runs = []
     for chunk_bits in (10, 16, 20):
         monkeypatch.setattr(montecarlo, "_CHUNK", 1 << chunk_bits)
@@ -406,7 +406,7 @@ def test_tallies_do_not_depend_on_the_chunk_size(monkeypatch):
 def test_simulation_memory_stays_chunk_sized():
     # 2^20 pulses in chunks of 2^16 peak near 2.0 MiB; one chunk of 2^20 near 32 MiB
     p = params(0.2)
-    plan = active_plan(p, 20.0, optimal_mu_e(p, 20.0))
+    plan = active_plan(p, 20.0)
     tracemalloc.start()
     try:
         simulate_active_attack(p, 20.0, plan, 2**20, SEED)
@@ -427,7 +427,7 @@ def test_beam_splitter_arms_are_independent():
     # chi-square independence of Eve's and Bob's raw click indicators on
     # information pulses, 1% level (critical value 6.635 at one dof)
     p = params(0.2)
-    plan = active_plan(p, 20.0, optimal_mu_e(p, 20.0))
+    plan = active_plan(p, 20.0)
     is_info, _, eve, _, bob_raw_early, bob_raw_late = _pulse_outcomes(
         p.decoy_fraction,
         -math.expm1(-plan.mu_b_prime),
@@ -454,7 +454,7 @@ def test_capped_plan_with_decoys_blocks_everything_inconclusive():
     # b sits at its cap 1 - p_conc_inf: every inconclusive pulse is
     # blocked, decoys included, and Eve knows every delivered sifted bit
     p = params(0.5)
-    plan = active_plan(p, 60.0, optimal_mu_e(p, 60.0))
+    plan = active_plan(p, 60.0)
     assert plan.block_fraction == 1.0 - plan.p_conc_inf
     assert blocking_probability(plan) == 1.0
     stats = simulate_active_attack(p, 60.0, plan, 200_000, SEED)
@@ -468,7 +468,7 @@ def test_plan_forwarding_above_the_source_is_rejected_at_tiny_intensity():
     # The forwarded intensity is checked relative to mu; an absolute
     # tolerance of 1e-9 let a plan forward 3x the source at mu = 1e-10.
     p = params(1e-10)
-    plan = active_plan(p, 40.0, optimal_mu_e(p, 40.0))
+    plan = active_plan(p, 40.0)
     assert simulate_active_attack(p, 40.0, plan, 1000, SEED).n_pulses == 1000
     with pytest.raises(ValueError, match="forwarded intensity"):
         simulate_active_attack(p, 40.0, plan._replace(mu_b_prime=3e-10), 1000, SEED)
@@ -477,7 +477,7 @@ def test_plan_forwarding_above_the_source_is_rejected_at_tiny_intensity():
 @pytest.mark.parametrize("excess", [1e-3, math.nan])
 def test_plan_above_blocking_cap_is_rejected(excess):
     p = params(0.2)
-    plan = active_plan(p, 60.0, optimal_mu_e(p, 60.0))
+    plan = active_plan(p, 60.0)
     bad = plan._replace(block_fraction=1.0 - plan.p_conc_inf + excess)
     with pytest.raises(ValueError, match="information pulses"):
         simulate_active_attack(p, 60.0, bad, 1000, SEED)
@@ -485,7 +485,7 @@ def test_plan_above_blocking_cap_is_rejected(excess):
 
 def test_capped_plan_without_decoys_blocks_everything_inconclusive():
     p = params(0.5, f=0.0)
-    plan = active_plan(p, 60.0, optimal_mu_e(p, 60.0))
+    plan = active_plan(p, 60.0)
     assert blocking_probability(plan) == 1.0
     stats = simulate_active_attack(p, 60.0, plan, 200_000, SEED)
     info = stats.info
@@ -515,7 +515,7 @@ def test_pattern_probabilities_no_attack_formulas():
 
 def test_pattern_probabilities_attack_formulas():
     p = params(0.2)
-    plan = active_plan(p, 20.0, optimal_mu_e(p, 20.0))
+    plan = active_plan(p, 20.0)
     beta = blocking_probability(plan)
     q = -math.expm1(-plan.mu_b_prime)
     pat = detection_pattern_probabilities(p, 20.0, plan)
@@ -529,7 +529,7 @@ def test_pattern_probabilities_attack_formulas():
 
 def test_distortion_flags_decoy_double_for_half_intensity_plan():
     p = params(0.2)
-    plan = active_plan(p, 20.0, optimal_mu_e(p, 20.0))
+    plan = active_plan(p, 20.0)
     assert plan.mu_e == 0.1  # mu/2 branch, forwarded intensity above mu_b
     report = decoy_distortion(p, 20.0, plan, N, SEED)
     flagged = {(r.pulse_class, r.pattern) for r in report.flagged_rows()}
@@ -555,7 +555,7 @@ def test_distortion_silent_for_full_budget_plan():
 
 def test_distortion_report_without_decoys_has_no_decoy_rows():
     p = params(0.2, f=0.0)
-    plan = active_plan(p, 20.0, optimal_mu_e(p, 20.0))
+    plan = active_plan(p, 20.0)
     report = decoy_distortion(p, 20.0, plan, 100_000, SEED)
     assert {r.pulse_class for r in report.rows} == {"bit0", "bit1"}
 

@@ -24,6 +24,7 @@ from cowsec import __version__
 from cowsec.core import ProtocolParams
 from cowsec.attacks import (
     active_attack,
+    active_plan,
     bs_attack,
     fully_insecure_length,
     key_rate_margin,
@@ -417,6 +418,19 @@ def test_optimal_intensity_sweep_margin_is_the_optimisers_margin(delta):
         assert row.margin == optimal_source_intensity(delta, 0.1, row.length_km).margin
 
 
+def test_qber_sweep_columns_are_the_librarys_values_on_every_row():
+    # secure rows and fully insecure ones: each mu turns fully insecure
+    # inside the grid, from about 30 km at mu = 1.9 to 115 km at mu = 0.02
+    rows = sweep_qber_curves((0.02, 0.1, 0.5, 1.0, 1.9), l_max=150.0, l_step=0.5)
+    assert any(row.fully_insecure for row in rows) and not all(row.fully_insecure for row in rows)
+    for row in rows:
+        p = ProtocolParams(row.mu, 0.1, 0.2)
+        plan = active_plan(p, row.length_km)
+        assert row.margin == key_rate_margin(p, row.length_km)
+        assert (row.mu_e_opt, row.block_fraction) == (plan.mu_e, plan.block_fraction)
+        assert active_attack(p, row.length_km).plan == plan
+
+
 def test_optimal_intensity_sweep_rejects_bad_range():
     with pytest.raises(ValueError):
         sweep_optimal_intensity(0.2, 0.1, 10.0, 5.0, 1.0)
@@ -604,6 +618,7 @@ def test_cli_invalid_arguments_exit_2(tmp_path, capsys):
     assert cli.main(["qber-curves", "--length", "nonsense", "--out", str(tmp_path / "x.csv")]) == 2
     assert cli.main(["qber-curves", "--length", "0:10", "--out", str(tmp_path / "x.csv")]) == 2
     assert cli.main(["qber-curves", "--mu", "0.1,bogus", "--out", str(tmp_path / "x.csv")]) == 2
+    assert cli.main(["qber-curves", "--mu", "", "--out", str(tmp_path / "x.csv")]) == 2
     assert cli.main(["qber-curves", "--delta", "-1", "--length", "0:10:5", "--out", str(tmp_path / "x.csv")]) == 2
     assert cli.main(["no-such-command"]) == 2
     assert cli.main(["qber-curves", "--no-such-flag", "1", "--out", "x.csv"]) == 2
@@ -782,6 +797,16 @@ def test_package_root_resolves_sweep_names_lazily():
         assert namespace[name] is getattr(cowsec.sweeps, name)
     with pytest.raises(AttributeError, match="no_such_name"):
         cowsec.no_such_name
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # pyproject.toml declares requires-python >= 3.10; syntax newer than
+    # that (an except* block, say) fails to parse here
+    root = Path(__file__).resolve().parent.parent
+    paths = [p for d in ("src", "tests", "demos", "bench") for p in sorted((root / d).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 def test_every_imported_name_is_used_or_exported():
