@@ -109,11 +109,6 @@ def _fully_insecure(i_ae: float) -> bool:
     return i_ae >= 1.0 - FULLY_INSECURE_TOL
 
 
-def _exceeds_budget(mu_e: float, mu_e_max: float) -> bool:
-    """True when mu_e is above the loss budget mu_e_max by more than rounding."""
-    return mu_e > mu_e_max * (1.0 + 1e-12) + 1e-15
-
-
 def active_plan(
     params: ProtocolParams, length_km: float, mu_e: Optional[float] = None
 ) -> ActiveAttackPlan:
@@ -130,22 +125,29 @@ def active_plan(
     blocking, must equal his rate over the ordinary lossy fibre,
     (1 - b) * (1 - exp(-mu_b_prime)) = 1 - exp(-mu_b). Blocking beyond
     Eve's inconclusive fraction on information states is useless, so the
-    raw balance value is capped there (and clamped at zero against
-    rounding when mu_e equals the full budget).
+    raw balance value is capped there, and clamped at zero for a mu_e
+    within rounding of the budget. A mu_e above the budget by more than
+    1e-12 * mu is rejected; within that it is the full budget, where Eve
+    forwards mu_b itself and blocks nothing, as in the exact model
+    (mu - mu_e_max cancels once mu_b / mu nears machine epsilon).
     """
     point = channel_point(params, length_km)
     if mu_e is None:
         mu_e = params.mu / 2.0
     elif not mu_e >= 0:
-        raise ValueError(f"diverted intensity must be non-negative, got {mu_e}")
-    elif _exceeds_budget(mu_e, point.mu_e_max):
+        raise ValueError(f"diverted intensity mu_e must be non-negative, got {mu_e}")
+    elif mu_e > point.mu_e_max + 1e-12 * params.mu:
         raise ValueError(
-            f"diverted intensity {mu_e} exceeds the loss budget "
+            f"diverted intensity mu_e = {mu_e} exceeds the loss budget "
             f"{point.mu_e_max} at {length_km} km"
         )
     mu_e = min(mu_e, point.mu_e_max)
+    if mu_e == point.mu_e_max:
+        mu_b_prime, raw_b = point.mu_b, 0.0
+    else:
+        mu_b_prime = params.mu - mu_e
+        raw_b = 1.0 - (-math.expm1(-point.mu_b)) / (-math.expm1(-mu_b_prime))
 
-    mu_b_prime = params.mu - mu_e
     p_conc_inf = -math.expm1(-mu_e)
     # Decoys occupy both slots, so Eve's conclusive probability on them is
     # that of two independent threshold detections: 1 - exp(-2*mu_e).
@@ -153,7 +155,6 @@ def active_plan(
     f = params.decoy_fraction
     p_conc_total = (1.0 - f) * p_conc_inf + f * p_conc_cont
 
-    raw_b = 1.0 - (-math.expm1(-point.mu_b)) / (-math.expm1(-mu_b_prime))
     b = max(0.0, min(raw_b, 1.0 - p_conc_inf))
     return ActiveAttackPlan(mu_e, mu_b_prime, b, p_conc_inf, p_conc_cont, p_conc_total)
 

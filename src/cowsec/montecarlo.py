@@ -5,8 +5,9 @@ state of intensity mu is vacuum with probability exp(-mu), so each
 detector slot is an exact Bernoulli(1 - exp(-mu)) draw rather than an
 approximation. The simulator cross-validates the analytic attack
 formulas and exposes the detection-pattern distortion that active
-blocking imprints on the decoy statistics. As in the closed forms, a
-plan's block fraction b is the share of information pulses Eve blocks.
+blocking imprints on the decoy statistics. It takes only the closed
+forms' plans, active_plan(params, length_km, mu_e), in which b is the
+share of information pulses Eve blocks.
 
 Randomness is counter-based: every draw is SplitMix64(seed, pulse
 index, draw slot), so a pulse's outcome depends only on the seed and its
@@ -32,7 +33,7 @@ from typing import Callable, Dict, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .attacks import ActiveAttackPlan, _exceeds_budget
+from .attacks import ActiveAttackPlan, active_plan
 from .core import ProtocolParams, _binomial_se, channel_point
 
 __all__ = [
@@ -273,7 +274,11 @@ def _count(
 def _simulate(
     f: float, p_bob: float, p_eve: float, beta: float, n_pulses: int, seed: int, first_pulse: int
 ) -> TrialStats:
-    """Run the chunk kernel over n_pulses pulses and tally them per class."""
+    """Run the chunk kernel over n_pulses pulses from first_pulse on and tally them per class."""
+    if n_pulses < 1:
+        raise ValueError(f"need at least one pulse, got n_pulses = {n_pulses}")
+    if first_pulse < 0:
+        raise ValueError(f"first_pulse must be non-negative, got {first_pulse}")
     size = min(_CHUNK, n_pulses)
     # once per run: fresh arrays per chunk page-fault in a process whose allocator is cold
     words, masks = _buffers(seed, first_pulse, size)
@@ -314,26 +319,18 @@ def simulate_no_attack(
     Information pulses populate one of Bob's two slots, decoys both; the
     slots click independently.
     """
-    if n_pulses < 1:
-        raise ValueError(f"need at least one pulse, got {n_pulses}")
     p_click = -math.expm1(-channel_point(params, length_km).mu_b)
     return _simulate(params.decoy_fraction, p_click, 0.0, 0.0, n_pulses, seed, first_pulse)
 
 
 def _check_plan(params: ProtocolParams, length_km: float, plan: ActiveAttackPlan) -> None:
-    point = channel_point(params, length_km)
-    if _exceeds_budget(plan.mu_e, point.mu_e_max):
-        raise ValueError(
-            f"plan diverts {plan.mu_e}, above the loss budget "
-            f"{point.mu_e_max} at {length_km} km"
-        )
-    if abs(plan.mu_b_prime - (params.mu - plan.mu_e)) > 1e-12 * params.mu:
-        raise ValueError("plan's forwarded intensity does not match mu - mu_e")
-    if not 0.0 <= plan.block_fraction <= 1.0 - plan.p_conc_inf:
-        raise ValueError(
-            f"plan blocks {plan.block_fraction} of information pulses, outside "
-            f"[0, 1 - p_conc_inf] = [0, {1.0 - plan.p_conc_inf}]"
-        )
+    """Raise ValueError at the first field where plan differs from active_plan's for its mu_e."""
+    expected = active_plan(params, length_km, plan.mu_e)
+    for name, got, want in zip(plan._fields, plan, expected):
+        if got != want:
+            raise ValueError(
+                f"plan's {name} is {got}, but active_plan gives {want} at mu_e = {plan.mu_e}"
+            )
 
 
 def simulate_active_attack(
@@ -351,11 +348,9 @@ def simulate_active_attack(
     conclusive with the plan's p_conc_inf = 1 - exp(-mu_e), blocks
     inconclusive pulses i.i.d. per blocking_probability, so that a share
     b of information pulses is blocked on average, and forwards the rest
-    losslessly. Raises ValueError for a plan outside the loss budget or
-    with b above the cap 1 - p_conc_inf.
+    losslessly. Raises ValueError for any plan other than
+    active_plan(params, length_km, plan.mu_e).
     """
-    if n_pulses < 1:
-        raise ValueError(f"need at least one pulse, got {n_pulses}")
     _check_plan(params, length_km, plan)
     p_bob = -math.expm1(-plan.mu_b_prime)
     beta = blocking_probability(plan)
@@ -392,6 +387,8 @@ def detection_pattern_probabilities(
     pulse shows as no-click): the plan's b on information pulses, and
     exp(-2 mu_e) * beta on decoys, which Eve finds inconclusive less
     often. Keyed [class][pattern] with patterns no_click / single / double.
+    Raises ValueError for any plan other than
+    active_plan(params, length_km, plan.mu_e).
     """
     point = channel_point(params, length_km)
     if plan is None:

@@ -139,13 +139,14 @@ def test_active_plan_total_conclusive_is_decoy_weighted():
     assert plan.p_conc_total == pytest.approx(expected, abs=1e-15)
 
 
-@pytest.mark.parametrize("length", [5.0, 10.0, 40.0])
+@pytest.mark.parametrize("length", [5.0, 10.0, 40.0, 500.0, 800.0, 1000.0, 20000.0])
 def test_active_plan_full_budget_means_no_blocking(length):
-    # diverting the whole loss budget leaves Bob's intensity unchanged
+    # diverting the whole loss budget leaves Bob's intensity unchanged, also
+    # where mu - mu_e_max loses its digits to rounding (all of them from 783 km)
     p = params(0.5)
     point = channel_point(p, length)
     plan = active_plan(p, length, point.mu_e_max)
-    assert plan.mu_b_prime == pytest.approx(point.mu_b, abs=1e-16)
+    assert plan.mu_b_prime == point.mu_b
     assert plan.block_fraction == 0.0
 
 
@@ -168,6 +169,9 @@ def test_active_plan_rejects_overdrawn_budget():
         active_plan(p, 20.0, -0.01)
     with pytest.raises(ValueError):
         active_plan(p, 20.0, math.nan)
+    # the rounding allowance is relative to mu: 5e-16 is 50,000x this source
+    with pytest.raises(ValueError):
+        active_plan(ProtocolParams(1e-20), 40.0, 5e-16)
 
 
 def test_active_plan_cap_reached_on_long_channel():

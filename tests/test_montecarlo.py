@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cowsec import montecarlo
@@ -174,6 +174,18 @@ def test_partition_independence():
     half1 = simulate_no_attack(p, 20.0, 150_001, SEED)
     half2 = simulate_no_attack(p, 20.0, 149_999, SEED, first_pulse=150_001)
     assert half1 + half2 == whole_base
+
+
+@pytest.mark.parametrize(
+    "n_pulses, first_pulse, name", [(0, 0, "n_pulses"), (10, -1, "first_pulse")]
+)
+def test_simulators_reject_an_empty_or_negative_pulse_range(n_pulses, first_pulse, name):
+    p = params(0.2)
+    plan = active_plan(p, 20.0)
+    with pytest.raises(ValueError, match=name):
+        simulate_no_attack(p, 20.0, n_pulses, SEED, first_pulse=first_pulse)
+    with pytest.raises(ValueError, match=name):
+        simulate_active_attack(p, 20.0, plan, n_pulses, SEED, first_pulse=first_pulse)
 
 
 
@@ -470,17 +482,56 @@ def test_plan_forwarding_above_the_source_is_rejected_at_tiny_intensity():
     p = params(1e-10)
     plan = active_plan(p, 40.0)
     assert simulate_active_attack(p, 40.0, plan, 1000, SEED).n_pulses == 1000
-    with pytest.raises(ValueError, match="forwarded intensity"):
+    with pytest.raises(ValueError, match="mu_b_prime"):
         simulate_active_attack(p, 40.0, plan._replace(mu_b_prime=3e-10), 1000, SEED)
 
 
-@pytest.mark.parametrize("excess", [1e-3, math.nan])
-def test_plan_above_blocking_cap_is_rejected(excess):
+@pytest.mark.parametrize(
+    "field, length, value",
+    [
+        ("block_fraction", 60.0, lambda plan: 1.0 - plan.p_conc_inf + 1e-3),
+        ("block_fraction", 60.0, lambda plan: math.nan),
+        # Eve conclusive on half the pulses while 1 - exp(-mu_e) is 0.095
+        ("p_conc_inf", 20.0, lambda plan: 0.5),
+        ("p_conc_total", 20.0, lambda plan: math.nextafter(plan.p_conc_total, 1.0)),
+        # below the budget balance, which blocks 0.87 here
+        ("block_fraction", 60.0, lambda plan: 0.0),
+        ("mu_e", 20.0, lambda plan: 1.0),  # above the loss budget
+    ],
+    ids=["0.001", "nan", "p_conc_inf", "p_conc_total_ulp", "below_balance", "over_budget"],
+)
+def test_plan_above_blocking_cap_is_rejected(field, length, value):
+    # the simulator takes only active_plan's plans and names the edited field
     p = params(0.2)
-    plan = active_plan(p, 60.0)
-    bad = plan._replace(block_fraction=1.0 - plan.p_conc_inf + excess)
-    with pytest.raises(ValueError, match="information pulses"):
-        simulate_active_attack(p, 60.0, bad, 1000, SEED)
+    plan = active_plan(p, length)
+    bad = plan._replace(**{field: value(plan)})
+    with pytest.raises(ValueError, match=field):
+        simulate_active_attack(p, length, bad, 1000, SEED)
+    with pytest.raises(ValueError, match=field):
+        detection_pattern_probabilities(p, length, bad)
+    with pytest.raises(ValueError, match=field):
+        decoy_distortion(p, length, bad, 1000, SEED)
+
+
+def exp10(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+# the full budget forwards mu_b itself, also where mu - mu_e_max cancels
+@example(mu=0.2, f=0.1, delta=0.2, length=1000.0, share=1.0)
+@example(mu=0.2, f=0.1, delta=0.2, length=20000.0, share=1.0)
+@given(
+    mu=exp10(-300, 3),
+    f=st.floats(0.0, 0.999),
+    delta=exp10(-2, 1),
+    length=st.floats(0.0, 3e4),
+    share=st.none() | st.just(1.0) | st.floats(0.0, 1.0),
+)
+def test_simulator_accepts_every_plan_active_plan_builds(mu, f, delta, length, share):
+    p = params(mu, f=f, delta=delta)
+    mu_e = None if share is None else share * channel_point(p, length).mu_e_max
+    detection_pattern_probabilities(p, length, active_plan(p, length, mu_e))
 
 
 def test_capped_plan_without_decoys_blocks_everything_inconclusive():

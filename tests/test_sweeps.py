@@ -622,6 +622,8 @@ def test_cli_invalid_arguments_exit_2(tmp_path, capsys):
     assert cli.main(["qber-curves", "--delta", "-1", "--length", "0:10:5", "--out", str(tmp_path / "x.csv")]) == 2
     assert cli.main(["no-such-command"]) == 2
     assert cli.main(["qber-curves", "--no-such-flag", "1", "--out", "x.csv"]) == 2
+    assert cli.main(["validate-mc", "--pulses", "0", "--out", str(tmp_path / "r.json")]) == 2
+    assert cli.main(["validate-mc", "--pulses", "-1", "--out", str(tmp_path / "r.json")]) == 2
     capsys.readouterr()
     # non-finite values are rejected where they enter, naming the argument
     for argv, name in (
@@ -832,6 +834,40 @@ def test_every_imported_name_is_used_or_exported():
         if imported - used - exported:
             unused[path.name] = sorted(imported - used - exported)
     assert unused == {}
+
+
+# Every read of another cowsec module's private name; a new one must be added here.
+ALLOWED_PRIVATE_READS = {
+    ("cli", "sweeps", "_json_text"),
+    ("montecarlo", "core", "_binomial_se"),
+    ("sweeps", "attacks", "_margin"),
+    ("sweeps", "core", "_binomial_se"),
+    ("sweeps", "montecarlo", "_stream_pair"),
+}
+
+
+def test_modules_read_other_modules_private_names_only_from_the_allowed_list():
+    # covers `from .x import _n` and `x._n` after `from . import x`
+    reads = set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules.add(alias.asname or alias.name)
+                    elif alias.name.startswith("_"):
+                        reads.add((path.stem, node.module, alias.name))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and node.attr.startswith("_")
+            ):
+                reads.add((path.stem, node.value.id, node.attr))
+    assert reads == ALLOWED_PRIVATE_READS
 
 
 def test_cli_validate_mc_failure_exit_code(monkeypatch, tmp_path, capsys):
