@@ -53,6 +53,9 @@ def _parse_mu_list(text: str) -> Tuple[float, ...]:
 
 
 def _parse_range(text: str) -> Tuple[float, float, float]:
+    """A --length range's min, max and step, after length_grid's checks of the grid."""
+    from .sweeps import length_grid
+
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"length range must be min:max:step, got {text!r}")
@@ -62,6 +65,7 @@ def _parse_range(text: str) -> Tuple[float, float, float]:
         raise ValueError(f"cannot parse length range {text!r}") from None
     if not all(map(math.isfinite, (lo, hi, step))):
         raise ValueError(f"--length bounds and step must be finite, got {text!r}")
+    length_grid(lo, hi, step)
     return lo, hi, step
 
 
@@ -79,7 +83,7 @@ def _arg(*flags: str, **options: Any) -> _Argument:
 def _cmd_qber_curves(args: argparse.Namespace) -> int:
     from .sweeps import sweep_qber_curves
 
-    l_min, l_max, l_step = _parse_range(args.length)  # a malformed --length is reported first
+    l_min, l_max, l_step = _parse_range(args.length)  # a bad --length is reported first
     rows = sweep_qber_curves(
         _parse_mu_list(args.mu),
         delta=args.delta,

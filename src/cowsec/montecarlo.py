@@ -5,9 +5,10 @@ state of intensity mu is vacuum with probability exp(-mu), so each
 detector slot is an exact Bernoulli(1 - exp(-mu)) draw rather than an
 approximation. The simulator cross-validates the analytic attack
 formulas and exposes the detection-pattern distortion that active
-blocking imprints on the decoy statistics. It takes only the closed
-forms' plans, active_plan(params, length_km, mu_e), in which b is the
-share of information pulses Eve blocks.
+blocking imprints on the decoy statistics. The attacked entry points
+take Eve's one free parameter, the diverted intensity mu_e (None for her
+optimum), and run the closed forms' plan active_plan(params, length_km,
+mu_e), in which b is the share of information pulses Eve blocks.
 
 Randomness is counter-based: every draw is SplitMix64(seed, pulse
 index, draw slot), so a pulse's outcome depends only on the seed and its
@@ -45,7 +46,6 @@ __all__ = [
     "derive_stream_seed",
     "simulate_no_attack",
     "simulate_active_attack",
-    "detection_pattern_probabilities",
     "decoy_distortion",
 ]
 
@@ -71,6 +71,9 @@ _SLOT_BOB_LATE = 5
 # 1.4x as long in one chunk as in chunks of 2^16. 2^15 timed the same as
 # 2^16; 2^14, 2^17 and 2^18 were a few per cent slower.
 _CHUNK = 1 << 16
+
+# Slot-0 counters seed + (8 * idx + 1) * _GOLDEN mod 2^64 repeat after 2^61 pulses.
+_PULSE_PERIOD = 1 << 61
 
 # Stream tag for the unattacked baseline run of _stream_pair.
 _BASELINE_STREAM = 1
@@ -168,24 +171,13 @@ def rate_with_error(count: int, total: int) -> Tuple[float, float]:
 
 
 class TrialStats(NamedTuple):
-    """Tallies of one simulated run, mergeable across disjoint pulse ranges."""
+    """Tallies of one simulated run."""
 
     n_pulses: int
     seed: int
     bit0: ClassTally = ClassTally()
     bit1: ClassTally = ClassTally()
     decoy: ClassTally = ClassTally()
-
-    def __add__(self, other: TrialStats) -> TrialStats:
-        if self.seed != other.seed:
-            raise ValueError("cannot merge runs with different seeds")
-        return TrialStats(
-            n_pulses=self.n_pulses + other.n_pulses,
-            seed=self.seed,
-            bit0=self.bit0 + other.bit0,
-            bit1=self.bit1 + other.bit1,
-            decoy=self.decoy + other.decoy,
-        )
 
     def classes(self) -> Iterator[Tuple[str, ClassTally]]:
         yield "bit0", self.bit0
@@ -279,6 +271,8 @@ def _simulate(
         raise ValueError(f"need at least one pulse, got n_pulses = {n_pulses}")
     if first_pulse < 0:
         raise ValueError(f"first_pulse must be non-negative, got {first_pulse}")
+    if first_pulse + n_pulses > _PULSE_PERIOD:
+        raise ValueError(f"first_pulse + n_pulses = {first_pulse} + {n_pulses} exceeds 2**61")
     size = min(_CHUNK, n_pulses)
     # once per run: fresh arrays per chunk page-fault in a process whose allocator is cold
     words, masks = _buffers(seed, first_pulse, size)
@@ -323,35 +317,25 @@ def simulate_no_attack(
     return _simulate(params.decoy_fraction, p_click, 0.0, 0.0, n_pulses, seed, first_pulse)
 
 
-def _check_plan(params: ProtocolParams, length_km: float, plan: ActiveAttackPlan) -> None:
-    """Raise ValueError at the first field where plan differs from active_plan's for its mu_e."""
-    expected = active_plan(params, length_km, plan.mu_e)
-    for name, got, want in zip(plan._fields, plan, expected):
-        if got != want:
-            raise ValueError(
-                f"plan's {name} is {got}, but active_plan gives {want} at mu_e = {plan.mu_e}"
-            )
-
-
 def simulate_active_attack(
     params: ProtocolParams,
     length_km: float,
-    plan: ActiveAttackPlan,
     n_pulses: int,
     seed: int,
     first_pulse: int = 0,
+    mu_e: Optional[float] = None,
 ) -> TrialStats:
-    """Simulate the active beam-splitting attack under a given plan.
+    """Simulate the active beam-splitting attack at diverted intensity mu_e.
 
-    The beam splitter sends independent coherent pulses of intensity mu_e
-    to Eve and mu_b_prime toward Bob. Eve measures both slots, each one
-    conclusive with the plan's p_conc_inf = 1 - exp(-mu_e), blocks
+    Runs active_plan(params, length_km, mu_e), Eve's optimum when mu_e is
+    None. The beam splitter sends independent coherent pulses of intensity
+    mu_e to Eve and mu_b_prime toward Bob. Eve measures both slots, each
+    one conclusive with the plan's p_conc_inf = 1 - exp(-mu_e), blocks
     inconclusive pulses i.i.d. per blocking_probability, so that a share
     b of information pulses is blocked on average, and forwards the rest
-    losslessly. Raises ValueError for any plan other than
-    active_plan(params, length_km, plan.mu_e).
+    losslessly.
     """
-    _check_plan(params, length_km, plan)
+    plan = active_plan(params, length_km, mu_e)
     p_bob = -math.expm1(-plan.mu_b_prime)
     beta = blocking_probability(plan)
     return _simulate(
@@ -362,19 +346,19 @@ def simulate_active_attack(
 def _stream_pair(
     params: ProtocolParams,
     length_km: float,
-    plan: ActiveAttackPlan,
     n_pulses: int,
     seed: int,
+    mu_e: Optional[float] = None,
 ) -> Tuple[TrialStats, TrialStats]:
     """The attacked run at seed and the unattacked baseline at the derived stream seed."""
-    attacked = simulate_active_attack(params, length_km, plan, n_pulses, seed)
+    attacked = simulate_active_attack(params, length_km, n_pulses, seed, mu_e=mu_e)
     baseline = simulate_no_attack(
         params, length_km, n_pulses, derive_stream_seed(seed, _BASELINE_STREAM)
     )
     return attacked, baseline
 
 
-def detection_pattern_probabilities(
+def _pattern_probabilities(
     params: ProtocolParams,
     length_km: float,
     plan: Optional[ActiveAttackPlan] = None,
@@ -387,15 +371,11 @@ def detection_pattern_probabilities(
     pulse shows as no-click): the plan's b on information pulses, and
     exp(-2 mu_e) * beta on decoys, which Eve finds inconclusive less
     often. Keyed [class][pattern] with patterns no_click / single / double.
-    Raises ValueError for any plan other than
-    active_plan(params, length_km, plan.mu_e).
     """
-    point = channel_point(params, length_km)
     if plan is None:
-        p = -math.expm1(-point.mu_b)
+        p = -math.expm1(-channel_point(params, length_km).mu_b)
         block_info = block_decoy = 0.0
     else:
-        _check_plan(params, length_km, plan)
         p = -math.expm1(-plan.mu_b_prime)
         block_info = plan.block_fraction
         block_decoy = math.exp(-2.0 * plan.mu_e) * blocking_probability(plan)
@@ -438,10 +418,6 @@ class DistortionReport(NamedTuple):
     def flagged_rows(self) -> Tuple[PatternRow, ...]:
         return tuple(r for r in self.rows if r.flagged)
 
-    @property
-    def any_flagged(self) -> bool:
-        return any(r.flagged for r in self.rows)
-
 
 def _pattern_counts(tally: ClassTally) -> Dict[str, int]:
     return {
@@ -454,11 +430,11 @@ def _pattern_counts(tally: ClassTally) -> Dict[str, int]:
 def decoy_distortion(
     params: ProtocolParams,
     length_km: float,
-    plan: ActiveAttackPlan,
     n_pulses: int,
     seed: int,
+    mu_e: Optional[float] = None,
 ) -> DistortionReport:
-    """Compare Bob's detection-pattern statistics with and without the attack.
+    """Compare Bob's detection-pattern statistics with and without the attack at mu_e.
 
     Bob knows his expected lossy-channel statistics, so a cell is flagged
     when the model-predicted attacked probability differs from the
@@ -467,13 +443,14 @@ def decoy_distortion(
     statistically detectable on Bob's side. The flag uses the analytic
     probabilities, making it deterministic up to class-count fluctuations;
     observed frequencies and their z-scores against the unattacked
-    expectation are reported alongside. Plans that forward the expected
-    intensity unblocked (mu_b_prime = mu_b, b = 0) distort nothing and
-    never flag.
+    expectation are reported alongside. The attack is
+    active_plan(params, length_km, mu_e), Eve's optimum when mu_e is None;
+    at the full budget she forwards the expected intensity unblocked
+    (mu_b_prime = mu_b, b = 0), which distorts nothing and never flags.
     """
-    attacked, baseline = _stream_pair(params, length_km, plan, n_pulses, seed)
-    expect_no = detection_pattern_probabilities(params, length_km)
-    expect_att = detection_pattern_probabilities(params, length_km, plan)
+    attacked, baseline = _stream_pair(params, length_km, n_pulses, seed, mu_e)
+    expect_no = _pattern_probabilities(params, length_km)
+    expect_att = _pattern_probabilities(params, length_km, active_plan(params, length_km, mu_e))
 
     rows = []
     for name, att_tally in attacked.classes():

@@ -4,15 +4,14 @@ Tables are plain lists of SweepRow; writers emit CSV (comma separated,
 floats at 17 significant digits so 64-bit values round-trip exactly) or
 JSON (same rows as objects plus a metadata block). Each CSV row is written
 from one line template derived from SweepRow's fields, ended by CRLF as
-csv.writer ends lines; no cell ever needs quoting, so the csv module only
-reads tables back. Outputs carry the fully resolved configuration in their
+csv.writer ends lines; no cell ever needs quoting, so the csv module is
+not needed. Outputs carry the fully resolved configuration in their
 header and contain nothing time-dependent, so identical inputs give
 byte-identical files.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from operator import attrgetter
@@ -34,8 +33,6 @@ __all__ = [
     "sweep_optimal_intensity",
     "run_montecarlo_validation",
     "write_sweep",
-    "read_sweep_csv",
-    "read_sweep_json",
 ]
 
 _ATTACK_NAMES = ("bs", "active")
@@ -224,8 +221,6 @@ def write_sweep(path: str, rows: Sequence[SweepRow], config: Dict[str, str], fmt
 def _finite_or_none(value: object) -> object:
     if isinstance(value, float) and not math.isfinite(value):
         return None
-    if hasattr(value, "_asdict"):  # a record is written as the object of its fields
-        value = value._asdict()
     if isinstance(value, dict):
         return {k: _finite_or_none(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -236,46 +231,6 @@ def _finite_or_none(value: object) -> object:
 def _json_text(payload: object) -> str:
     """Indented JSON with a trailing newline; NaN and +-inf (not JSON, RFC 8259) become null."""
     return json.dumps(_finite_or_none(payload), indent=2, allow_nan=False) + "\n"
-
-
-def _row_from_strings(record: Dict[str, str]) -> SweepRow:
-    kwargs: Dict[str, object] = {}
-    for column in _COLUMNS:
-        raw = record[column]
-        kwargs[column] = raw == "true" if column == "fully_insecure" else float(raw)
-    return SweepRow(**kwargs)  # type: ignore[arg-type]
-
-
-def read_sweep_csv(path: str) -> Tuple[Dict[str, str], List[SweepRow]]:
-    """Read back a CSV sweep table; inverse of write_sweep for fmt='csv'."""
-    header: Dict[str, str] = {}
-    try:
-        with open(path, newline="") as fh:
-            data_lines = []
-            for line in fh:
-                if line.startswith("#"):
-                    key, _, value = line[1:].strip().partition("=")
-                    header[key.strip()] = value
-                else:
-                    data_lines.append(line)
-    except OSError as exc:
-        raise OSError(f"cannot read sweep table from {path}: {exc}") from exc
-    rows = [_row_from_strings(rec) for rec in csv.DictReader(data_lines)]
-    return header, rows
-
-
-def read_sweep_json(path: str) -> Tuple[Dict[str, str], List[SweepRow]]:
-    """Read back a JSON sweep table; inverse of write_sweep for fmt='json' (null reads as NaN)."""
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise OSError(f"cannot read sweep table from {path}: {exc}") from exc
-    rows = [
-        SweepRow(**{k: math.nan if v is None else v for k, v in record.items()})
-        for record in payload["rows"]
-    ]
-    return payload["metadata"], rows
 
 
 # ---------------------------------------------------------------------------
@@ -369,19 +324,18 @@ def run_montecarlo_validation(
     lossy line's 1 - exp(-mu_b) wherever the plan balances the budget;
     beyond the fully-insecure length the capped plan cannot, and Bob sees
     fewer clicks than the lossy line would give. The plan and i_AE are
-    active_attack's, and Bob's expected rates are the cells of
-    detection_pattern_probabilities. The decoy-distortion report is
-    attached. Deterministic for fixed inputs.
+    active_attack's, and Bob's expected rates are the expected cells of
+    the attached decoy-distortion report. Deterministic for fixed inputs.
     """
     from . import montecarlo
 
     report = active_attack(params, length_km)
     plan, i_ae = report.plan, report.i_ae
-    attacked, baseline = montecarlo._stream_pair(params, length_km, plan, n_pulses, seed)
-    distortion = montecarlo.decoy_distortion(params, length_km, plan, n_pulses, seed)
-    expect_no = montecarlo.detection_pattern_probabilities(params, length_km)
-    expect_att = montecarlo.detection_pattern_probabilities(params, length_km, plan)
-    p_bob, p_bob_attacked = expect_no["bit0"]["single"], expect_att["bit0"]["single"]
+    attacked, baseline = montecarlo._stream_pair(params, length_km, n_pulses, seed)
+    distortion = montecarlo.decoy_distortion(params, length_km, n_pulses, seed)
+    cells = {(r.pulse_class, r.pattern): r for r in distortion.rows}
+    info_single = cells["bit0", "single"]
+    p_bob, p_bob_attacked = info_single.expected_no_attack, info_single.expected_attack
 
     base_info = baseline.info
     att_info = attacked.info
@@ -410,7 +364,7 @@ def run_montecarlo_validation(
                 "no_attack_decoy_double_rate",
                 baseline.decoy.bob_double_click,
                 baseline.decoy.sent,
-                expect_no["decoy"]["double"],
+                cells["decoy", "double"].expected_no_attack,
             ),
         )
 

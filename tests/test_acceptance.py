@@ -184,10 +184,10 @@ def test_criterion_08_montecarlo_cross_validation():
     assert half_plan.mu_e == 0.1  # the mu/2 branch at this length
     flagged = {
         (r.pulse_class, r.pattern)
-        for r in decoy_distortion(p, 20.0, half_plan, 1_000_000, 42).flagged_rows()
+        for r in decoy_distortion(p, 20.0, 1_000_000, 42).flagged_rows()
     }
-    full_plan = active_plan(p, 20.0, channel_point(p, 20.0).mu_e_max)
-    silent = not decoy_distortion(p, 20.0, full_plan, 1_000_000, 42).any_flagged
+    full_budget = channel_point(p, 20.0).mu_e_max
+    silent = not decoy_distortion(p, 20.0, 1_000_000, 42, mu_e=full_budget).flagged_rows()
 
     ok = rates_ok and ("decoy", "double") in flagged and silent
     zs = ", ".join(f"{by_name[n].name}:z={by_name[n].z:+.2f}" for n in sorted(wanted))

@@ -176,3 +176,17 @@ def test_fresh_process_prints_the_oracle_text(argv, monkeypatch, capsys):
     )
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout == oracle_text(argv, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["qber-curves", "--length", "0:10:0", "--mu", "x"], "needs a positive step"),
+        (["qber-curves", "--length", "5:1:1", "--mu", "x"], "ends below its start"),
+        (["qber-curves", "--length", "0:10:5", "--mu", "x"], "cannot parse intensity list 'x'"),
+    ],
+)
+def test_a_bad_length_grid_is_reported_before_a_bad_mu(argv, message, tmp_path, capsys):
+    assert cli.main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()

@@ -26,12 +26,12 @@ from cowsec.montecarlo import (
     _below,
     _buffers,
     _mix,
+    _pattern_probabilities,
     _pulse_outcomes,
     _words,
     blocking_probability,
     decoy_distortion,
     derive_stream_seed,
-    detection_pattern_probabilities,
     simulate_active_attack,
     simulate_no_attack,
 )
@@ -48,6 +48,13 @@ def assert_within_4_sigma(count, total, expected, label=""):
     se = math.sqrt(expected * (1.0 - expected) / total)
     z = (count / total - expected) / se if se > 0 else 0.0
     assert abs(z) <= 4.0, f"{label}: observed {count/total:.6f}, expected {expected:.6f}, z={z:.2f}"
+
+
+def merged(*runs):
+    """The tallies of disjoint pulse ranges of one seed, added class by class."""
+    assert len({run.seed for run in runs}) == 1
+    classes = (sum(tallies, ClassTally()) for tallies in zip(*(run[2:] for run in runs)))
+    return TrialStats(sum(run.n_pulses for run in runs), runs[0].seed, *classes)
 
 
 def policy_expectations(p: ProtocolParams, length_km: float, plan):
@@ -105,10 +112,10 @@ def test_no_attack_without_decoys():
 def test_active_attack_grid_rates(mu, length):
     p = params(mu)
     plan = active_plan(p, length)
-    stats = simulate_active_attack(p, length, plan, N, SEED)
+    stats = simulate_active_attack(p, length, N, SEED)
     info = stats.info
     expect = policy_expectations(p, length, plan)
-    patterns = detection_pattern_probabilities(p, length, plan)
+    patterns = _pattern_probabilities(p, length, plan)
 
     assert_within_4_sigma(info.eve_conclusive, info.sent, plan.p_conc_inf, "eve conclusive")
     assert_within_4_sigma(
@@ -134,7 +141,7 @@ def test_active_attack_budget_identities_at_moderate_point():
     # identities hold
     p = params(0.2)
     plan = active_plan(p, 20.0)
-    stats = simulate_active_attack(p, 20.0, plan, N, SEED)
+    stats = simulate_active_attack(p, 20.0, N, SEED)
     info = stats.info
     point = channel_point(p, 20.0)
     assert_within_4_sigma(info.bob_click, info.sent, -math.expm1(-point.mu_b), "budget click")
@@ -152,41 +159,42 @@ def test_active_attack_budget_identities_at_moderate_point():
 
 def test_simulations_are_deterministic():
     p = params(0.2)
-    plan = active_plan(p, 20.0)
-    a = simulate_active_attack(p, 20.0, plan, 200_000, SEED)
-    b = simulate_active_attack(p, 20.0, plan, 200_000, SEED)
+    a = simulate_active_attack(p, 20.0, 200_000, SEED)
+    b = simulate_active_attack(p, 20.0, 200_000, SEED)
     assert a == b
     assert simulate_no_attack(p, 20.0, 200_000, SEED) == simulate_no_attack(p, 20.0, 200_000, SEED)
 
 
 def test_partition_independence():
     p = params(0.2)
-    plan = active_plan(p, 20.0)
-    whole = simulate_active_attack(p, 20.0, plan, 300_000, SEED)
+    whole = simulate_active_attack(p, 20.0, 300_000, SEED)
     parts = [
-        simulate_active_attack(p, 20.0, plan, n, SEED, first_pulse=start)
+        simulate_active_attack(p, 20.0, n, SEED, first_pulse=start)
         for start, n in ((0, 77_777), (77_777, 150_000), (227_777, 72_223))
     ]
-    merged = parts[0] + parts[1] + parts[2]
-    assert merged == whole
+    assert merged(*parts) == whole
 
     whole_base = simulate_no_attack(p, 20.0, 300_000, SEED)
     half1 = simulate_no_attack(p, 20.0, 150_001, SEED)
     half2 = simulate_no_attack(p, 20.0, 149_999, SEED, first_pulse=150_001)
-    assert half1 + half2 == whole_base
+    assert merged(half1, half2) == whole_base
 
 
 @pytest.mark.parametrize(
-    "n_pulses, first_pulse, name", [(0, 0, "n_pulses"), (10, -1, "first_pulse")]
+    "n_pulses, first_pulse, name",
+    [
+        (0, 0, "n_pulses"),
+        (10, -1, "first_pulse"),
+        # the counters of pulse 2^61 repeat those of pulse 0
+        (10, 2**61 - 9, r"first_pulse \+ n_pulses"),
+    ],
 )
 def test_simulators_reject_an_empty_or_negative_pulse_range(n_pulses, first_pulse, name):
     p = params(0.2)
-    plan = active_plan(p, 20.0)
     with pytest.raises(ValueError, match=name):
         simulate_no_attack(p, 20.0, n_pulses, SEED, first_pulse=first_pulse)
     with pytest.raises(ValueError, match=name):
-        simulate_active_attack(p, 20.0, plan, n_pulses, SEED, first_pulse=first_pulse)
-
+        simulate_active_attack(p, 20.0, n_pulses, SEED, first_pulse=first_pulse)
 
 
 # Exact counts: any change to the counter layout, the draw order, the
@@ -243,7 +251,7 @@ def test_golden_counts_active_attack(length, block_fraction, counts):
     p = params(0.2)
     plan = active_plan(p, length)
     assert plan.block_fraction == block_fraction
-    stats = simulate_active_attack(p, length, plan, GOLDEN_N, GOLDEN_SEED, first_pulse=5)
+    stats = simulate_active_attack(p, length, GOLDEN_N, GOLDEN_SEED, first_pulse=5)
     assert stats == _golden(GOLDEN_N, *counts)
 
 
@@ -294,18 +302,8 @@ def test_golden_counts_active_attack(length, block_fraction, counts):
 def test_golden_counts_kernel_branches(p, length, mu_e, beta, counts):
     plan = active_plan(p, length, mu_e)
     assert blocking_probability(plan) == beta
-    stats = simulate_active_attack(p, length, plan, GOLDEN_N, GOLDEN_SEED, first_pulse=5)
+    stats = simulate_active_attack(p, length, GOLDEN_N, GOLDEN_SEED, first_pulse=5, mu_e=mu_e)
     assert stats == _golden(GOLDEN_N, *counts)
-
-
-def test_merge_rejects_mismatched_seeds():
-    p = params(0.2)
-    a = simulate_no_attack(p, 20.0, 1000, 1)
-    b = simulate_no_attack(p, 20.0, 1000, 2)
-    with pytest.raises(ValueError):
-        a + b
-    with pytest.raises(ValueError, match="different seeds"):
-        TrialStats(1, 1) + TrialStats(1, 2)
 
 
 def test_derived_stream_seed_is_distinct_and_stable():
@@ -402,13 +400,12 @@ def test_threshold_decision_matches_float_uniform(case):
 
 def test_tallies_do_not_depend_on_the_chunk_size(monkeypatch):
     p = params(0.2)
-    plan = active_plan(p, 20.0)
     runs = []
     for chunk_bits in (10, 16, 20):
         monkeypatch.setattr(montecarlo, "_CHUNK", 1 << chunk_bits)
         runs.append(
             (
-                simulate_active_attack(p, 20.0, plan, GOLDEN_N, GOLDEN_SEED, first_pulse=5),
+                simulate_active_attack(p, 20.0, GOLDEN_N, GOLDEN_SEED, first_pulse=5),
                 simulate_no_attack(p, 20.0, GOLDEN_N, GOLDEN_SEED, first_pulse=5),
             )
         )
@@ -418,10 +415,9 @@ def test_tallies_do_not_depend_on_the_chunk_size(monkeypatch):
 def test_simulation_memory_stays_chunk_sized():
     # 2^20 pulses in chunks of 2^16 peak near 2.0 MiB; one chunk of 2^20 near 32 MiB
     p = params(0.2)
-    plan = active_plan(p, 20.0)
     tracemalloc.start()
     try:
-        simulate_active_attack(p, 20.0, plan, 2**20, SEED)
+        simulate_active_attack(p, 20.0, 2**20, SEED)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -469,7 +465,7 @@ def test_capped_plan_with_decoys_blocks_everything_inconclusive():
     plan = active_plan(p, 60.0)
     assert plan.block_fraction == 1.0 - plan.p_conc_inf
     assert blocking_probability(plan) == 1.0
-    stats = simulate_active_attack(p, 60.0, plan, 200_000, SEED)
+    stats = simulate_active_attack(p, 60.0, 200_000, SEED)
     for _, tally in stats.classes():
         assert tally.blocked == tally.sent - tally.eve_conclusive
     info = stats.info
@@ -477,40 +473,22 @@ def test_capped_plan_with_decoys_blocks_everything_inconclusive():
 
 
 def test_plan_forwarding_above_the_source_is_rejected_at_tiny_intensity():
-    # The forwarded intensity is checked relative to mu; an absolute
-    # tolerance of 1e-9 let a plan forward 3x the source at mu = 1e-10.
+    # Every check on mu_e scales with mu: at mu = 1e-10 an absolute
+    # tolerance of 1e-9 would let Eve divert, or forward, 3x the source.
     p = params(1e-10)
-    plan = active_plan(p, 40.0)
-    assert simulate_active_attack(p, 40.0, plan, 1000, SEED).n_pulses == 1000
-    with pytest.raises(ValueError, match="mu_b_prime"):
-        simulate_active_attack(p, 40.0, plan._replace(mu_b_prime=3e-10), 1000, SEED)
+    assert simulate_active_attack(p, 40.0, 1000, SEED).n_pulses == 1000
+    for mu_e in (3e-10, -2e-10):  # the second forwards mu - mu_e = 3e-10
+        with pytest.raises(ValueError, match="mu_e"):
+            simulate_active_attack(p, 40.0, 1000, SEED, mu_e=mu_e)
 
 
-@pytest.mark.parametrize(
-    "field, length, value",
-    [
-        ("block_fraction", 60.0, lambda plan: 1.0 - plan.p_conc_inf + 1e-3),
-        ("block_fraction", 60.0, lambda plan: math.nan),
-        # Eve conclusive on half the pulses while 1 - exp(-mu_e) is 0.095
-        ("p_conc_inf", 20.0, lambda plan: 0.5),
-        ("p_conc_total", 20.0, lambda plan: math.nextafter(plan.p_conc_total, 1.0)),
-        # below the budget balance, which blocks 0.87 here
-        ("block_fraction", 60.0, lambda plan: 0.0),
-        ("mu_e", 20.0, lambda plan: 1.0),  # above the loss budget
-    ],
-    ids=["0.001", "nan", "p_conc_inf", "p_conc_total_ulp", "below_balance", "over_budget"],
-)
-def test_plan_above_blocking_cap_is_rejected(field, length, value):
-    # the simulator takes only active_plan's plans and names the edited field
+@pytest.mark.parametrize("mu_e", [1.0, math.nan], ids=["over_budget", "nan"])  # budget 0.12
+def test_simulators_reject_a_diverted_intensity_outside_the_budget(mu_e):
     p = params(0.2)
-    plan = active_plan(p, length)
-    bad = plan._replace(**{field: value(plan)})
-    with pytest.raises(ValueError, match=field):
-        simulate_active_attack(p, length, bad, 1000, SEED)
-    with pytest.raises(ValueError, match=field):
-        detection_pattern_probabilities(p, length, bad)
-    with pytest.raises(ValueError, match=field):
-        decoy_distortion(p, length, bad, 1000, SEED)
+    with pytest.raises(ValueError, match="mu_e"):
+        simulate_active_attack(p, 20.0, 1000, SEED, mu_e=mu_e)
+    with pytest.raises(ValueError, match="mu_e"):
+        decoy_distortion(p, 20.0, 1000, SEED, mu_e=mu_e)
 
 
 def exp10(lo, hi):
@@ -531,14 +509,14 @@ def exp10(lo, hi):
 def test_simulator_accepts_every_plan_active_plan_builds(mu, f, delta, length, share):
     p = params(mu, f=f, delta=delta)
     mu_e = None if share is None else share * channel_point(p, length).mu_e_max
-    detection_pattern_probabilities(p, length, active_plan(p, length, mu_e))
+    assert simulate_active_attack(p, length, 64, SEED, mu_e=mu_e).n_pulses == 64
 
 
 def test_capped_plan_without_decoys_blocks_everything_inconclusive():
     p = params(0.5, f=0.0)
     plan = active_plan(p, 60.0)
     assert blocking_probability(plan) == 1.0
-    stats = simulate_active_attack(p, 60.0, plan, 200_000, SEED)
+    stats = simulate_active_attack(p, 60.0, 200_000, SEED)
     info = stats.info
     assert info.blocked == info.sent - info.eve_conclusive
     # every delivered sifted bit is known to Eve
@@ -553,7 +531,7 @@ def test_pattern_probabilities_no_attack_formulas():
     p = params(0.2)
     point = channel_point(p, 20.0)
     x = math.exp(-point.mu_b)
-    pat = detection_pattern_probabilities(p, 20.0)
+    pat = _pattern_probabilities(p, 20.0)
     assert pat["bit0"]["no_click"] == pytest.approx(x, abs=1e-15)
     assert pat["bit0"]["single"] == pytest.approx(1.0 - x, abs=1e-15)
     assert pat["bit0"]["double"] == 0.0
@@ -569,7 +547,7 @@ def test_pattern_probabilities_attack_formulas():
     plan = active_plan(p, 20.0)
     beta = blocking_probability(plan)
     q = -math.expm1(-plan.mu_b_prime)
-    pat = detection_pattern_probabilities(p, 20.0, plan)
+    pat = _pattern_probabilities(p, 20.0, plan)
     survive_decoy = 1.0 - math.exp(-2.0 * plan.mu_e) * beta
     assert pat["decoy"]["double"] == pytest.approx(survive_decoy * q * q, abs=1e-15)
     survive_info = 1.0 - math.exp(-plan.mu_e) * beta
@@ -582,7 +560,7 @@ def test_distortion_flags_decoy_double_for_half_intensity_plan():
     p = params(0.2)
     plan = active_plan(p, 20.0)
     assert plan.mu_e == 0.1  # mu/2 branch, forwarded intensity above mu_b
-    report = decoy_distortion(p, 20.0, plan, N, SEED)
+    report = decoy_distortion(p, 20.0, N, SEED)
     flagged = {(r.pulse_class, r.pattern) for r in report.flagged_rows()}
     assert ("decoy", "double") in flagged
     # empirical attack frequencies agree with the policy closed forms
@@ -595,9 +573,8 @@ def test_distortion_flags_decoy_double_for_half_intensity_plan():
 def test_distortion_silent_for_full_budget_plan():
     p = params(0.2)
     point = channel_point(p, 20.0)
-    plan = active_plan(p, 20.0, point.mu_e_max)
-    report = decoy_distortion(p, 20.0, plan, N, SEED)
-    assert not report.any_flagged
+    report = decoy_distortion(p, 20.0, N, SEED, mu_e=point.mu_e_max)
+    assert not report.flagged_rows()
     # nothing distorted beyond statistical noise
     assert max(abs(r.z_observed) for r in report.rows) < 5.0
     for row in report.rows:
@@ -606,8 +583,7 @@ def test_distortion_silent_for_full_budget_plan():
 
 def test_distortion_report_without_decoys_has_no_decoy_rows():
     p = params(0.2, f=0.0)
-    plan = active_plan(p, 20.0)
-    report = decoy_distortion(p, 20.0, plan, 100_000, SEED)
+    report = decoy_distortion(p, 20.0, 100_000, SEED)
     assert {r.pulse_class for r in report.rows} == {"bit0", "bit1"}
 
 
@@ -618,14 +594,10 @@ def test_distortion_report_without_decoys_has_no_decoy_rows():
 def test_tallies_add_counts_rather_than_concatenating():
     a = ClassTally(1, 2, 3, 4, 5, 6)
     b = ClassTally(10, 20, 30, 40, 50, 60)
-    assert a + b == ClassTally(11, 22, 33, 44, 55, 66)
-    merged = TrialStats(7, 1, a, b, a) + TrialStats(3, 1, b, a, b)
-    assert merged == TrialStats(10, 1, a + b, a + b, a + b)
-    assert type(merged.bit0) is ClassTally and len(merged) == len(TrialStats._fields)
+    assert a + b == ClassTally(11, 22, 33, 44, 55, 66) and type(a + b) is ClassTally
 
 
 def test_trial_stats_merge_adds_counts():
-    a = TrialStats(n_pulses=10, seed=1, bit0=ClassTally(sent=4))
-    b = TrialStats(n_pulses=5, seed=1, bit0=ClassTally(sent=2))
-    merged = a + b
-    assert merged.n_pulses == 15 and merged.bit0.sent == 6
+    # info merges the two information classes' tallies
+    stats = TrialStats(n_pulses=10, seed=1, bit0=ClassTally(sent=4), bit1=ClassTally(sent=2))
+    assert stats.info == ClassTally(sent=6)

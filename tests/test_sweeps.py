@@ -36,8 +36,6 @@ from cowsec.sweeps import (
     _json_text,
     _make_check,
     length_grid,
-    read_sweep_csv,
-    read_sweep_json,
     run_montecarlo_validation,
     sweep_optimal_intensity,
     sweep_qber_curves,
@@ -56,6 +54,33 @@ def rows_equal(a: SweepRow, b: SweepRow) -> bool:
         elif x != y:
             return False
     return True
+
+
+def read_csv_table(path):
+    """Header and rows of a CSV sweep table, the rows parsed by csv.DictReader."""
+    header, lines = {}, []
+    with open(path, newline="") as fh:
+        for line in fh:
+            if line.startswith("#"):
+                key, _, value = line[1:].strip().partition("=")
+                header[key] = value
+            else:
+                lines.append(line)
+    rows = [
+        SweepRow(**{k: v == "true" if k == "fully_insecure" else float(v) for k, v in r.items()})
+        for r in csv.DictReader(lines)
+    ]
+    return header, rows
+
+
+def read_json_table(path):
+    """Metadata and rows of a JSON sweep table; null reads back as NaN."""
+    payload = json.loads(Path(path).read_text())
+    rows = [
+        SweepRow(**{k: math.nan if v is None else v for k, v in r.items()})
+        for r in payload["rows"]
+    ]
+    return payload["metadata"], rows
 
 
 def small_sweep(tmp_path=None, fmt="csv", attacks=("bs", "active")):
@@ -198,7 +223,7 @@ def test_qber_row_margin_is_zero_inside_the_fully_insecure_band(tmp_path):
     assert cli.main(
         ["qber-curves", "--mu", "0.05", "--length", f"{length}:{length}:1", "--out", str(out)]
     ) == 0
-    _, rows = read_sweep_csv(str(out))
+    _, rows = read_csv_table(str(out))
     assert len(rows) == 1
     assert rows[0].fully_insecure
     assert rows[0].i_ae_active < 1.0
@@ -262,7 +287,7 @@ def test_qber_sweep_single_attack_leaves_nan_columns():
 def test_round_trip_preserves_rows_exactly(tmp_path, fmt):
     path = tmp_path / f"table.{fmt}"
     rows = small_sweep(path, fmt=fmt)
-    header, back = (read_sweep_csv if fmt == "csv" else read_sweep_json)(str(path))
+    header, back = (read_csv_table if fmt == "csv" else read_json_table)(str(path))
     assert len(back) == len(rows)
     assert all(rows_equal(a, b) for a, b in zip(rows, back))
     # resolved configuration is embedded
@@ -276,7 +301,7 @@ def test_seventeen_digit_rendering_round_trips_awkward_floats(tmp_path):
     awkward = SweepRow(mu=1.0 / 3.0, length_km=math.pi, qber_bs=0.1 + 0.2)
     path = tmp_path / "awkward.csv"
     write_sweep(str(path), [awkward], {"command": "test"}, "csv")
-    _, back = read_sweep_csv(str(path))
+    _, back = read_csv_table(str(path))
     assert rows_equal(back[0], awkward)
 
 
@@ -377,7 +402,8 @@ def test_write_sweep_rejects_unknown_format(tmp_path):
 
 
 def test_json_text_writes_nested_records_as_objects_and_non_finite_as_null():
-    text = _json_text({"row": SweepRow(0.2, 1.0), "pair": (1.0, math.nan)})
+    # writers hand each record over as its _asdict()
+    text = _json_text({"row": SweepRow(0.2, 1.0)._asdict(), "pair": (1.0, math.nan)})
     payload = strict_json(text)
     assert list(payload["row"]) == list(SweepRow._fields)
     assert payload["row"]["mu"] == 0.2 and payload["row"]["qber_bs"] is None
@@ -557,7 +583,7 @@ def test_cli_qber_curves(tmp_path, capsys):
     )
     assert code == 0
     assert "wrote 10 rows" in capsys.readouterr().out
-    header, rows = read_sweep_csv(str(out))
+    header, rows = read_csv_table(str(out))
     assert len(rows) == 10
     assert header["decoy_fraction"] == f"{0.1:.17g}"  # default made explicit
 
@@ -565,7 +591,7 @@ def test_cli_qber_curves(tmp_path, capsys):
 def test_cli_qber_curves_json(tmp_path):
     out = tmp_path / "fig1.json"
     assert cli.main(["qber-curves", "--length", "0:10:5", "--format", "json", "--out", str(out)]) == 0
-    meta, rows = read_sweep_json(str(out))
+    meta, rows = read_json_table(str(out))
     assert len(rows) == 3 * 3
     assert meta["version"]
 
@@ -573,7 +599,7 @@ def test_cli_qber_curves_json(tmp_path):
 def test_cli_optimal_intensity(tmp_path):
     out = tmp_path / "fig2.csv"
     assert cli.main(["optimal-intensity", "--length", "10:30:10", "--out", str(out)]) == 0
-    _, rows = read_sweep_csv(str(out))
+    _, rows = read_csv_table(str(out))
     assert [r.length_km for r in rows] == [10.0, 20.0, 30.0]
 
 
