@@ -78,6 +78,9 @@ _PULSE_PERIOD = 1 << 61
 # Stream tag for the unattacked baseline run of _stream_pair.
 _BASELINE_STREAM = 1
 
+# Bob's detection patterns, in the order of ClassTally.patterns.
+_PATTERNS = ("no_click", "single", "double")
+
 
 def _mix(z: np.ndarray, tmp: Optional[np.ndarray] = None) -> np.ndarray:
     """SplitMix64 finalizer, in place on a uint64 array (arrays wrap silently, scalars warn).
@@ -158,8 +161,9 @@ class ClassTally(NamedTuple):
         return self.bob_single_click + self.bob_double_click
 
     @property
-    def bob_no_click(self) -> int:
-        return self.sent - self.bob_click
+    def patterns(self) -> Tuple[int, int, int]:
+        """Bob's (no_click, single, double) counts, _PATTERNS' order."""
+        return self.sent - self.bob_click, self.bob_single_click, self.bob_double_click
 
 
 def rate_with_error(count: int, total: int) -> Tuple[float, float]:
@@ -359,38 +363,22 @@ def _stream_pair(
 
 
 def _pattern_probabilities(
-    params: ProtocolParams,
-    length_km: float,
-    plan: Optional[ActiveAttackPlan] = None,
-) -> Dict[str, Dict[str, float]]:
+    p: float, block_info: float, block_decoy: float
+) -> Dict[str, Tuple[float, float, float]]:
     """Closed-form per-class probabilities of Bob's detection patterns.
 
-    With plan=None these are the plain lossy-channel values at mu_b.
-    Under a plan they account for the raised forward intensity and the
-    per-class blocking rate of the inconclusive-only policy (a blocked
-    pulse shows as no-click): the plan's b on information pulses, and
-    exp(-2 mu_e) * beta on decoys, which Eve finds inconclusive less
-    often. Keyed [class][pattern] with patterns no_click / single / double.
+    p is Bob's click probability per occupied slot, and block_info and
+    block_decoy the shares of information pulses and decoys blocked before
+    him (a blocked pulse shows as no-click). Keyed by class, each a
+    (no_click, single, double) tuple in _PATTERNS' order.
     """
-    if plan is None:
-        p = -math.expm1(-channel_point(params, length_km).mu_b)
-        block_info = block_decoy = 0.0
-    else:
-        p = -math.expm1(-plan.mu_b_prime)
-        block_info = plan.block_fraction
-        block_decoy = math.exp(-2.0 * plan.mu_e) * blocking_probability(plan)
-
-    info = {
-        "no_click": block_info + (1.0 - block_info) * (1.0 - p),
-        "single": (1.0 - block_info) * p,
-        "double": 0.0,
-    }
-    decoy = {
-        "no_click": block_decoy + (1.0 - block_decoy) * (1.0 - p) ** 2,
-        "single": (1.0 - block_decoy) * 2.0 * p * (1.0 - p),
-        "double": (1.0 - block_decoy) * p * p,
-    }
-    return {"bit0": info, "bit1": dict(info), "decoy": decoy}
+    info = (block_info + (1.0 - block_info) * (1.0 - p), (1.0 - block_info) * p, 0.0)
+    decoy = (
+        block_decoy + (1.0 - block_decoy) * (1.0 - p) ** 2,
+        (1.0 - block_decoy) * 2.0 * p * (1.0 - p),
+        (1.0 - block_decoy) * p * p,
+    )
+    return {"bit0": info, "bit1": info, "decoy": decoy}
 
 
 class PatternRow(NamedTuple):
@@ -414,17 +402,10 @@ class DistortionReport(NamedTuple):
     n_pulses: int
     seed: int
     rows: Tuple[PatternRow, ...]
+    plan: ActiveAttackPlan  # the attack whose expected cells the rows hold
 
     def flagged_rows(self) -> Tuple[PatternRow, ...]:
         return tuple(r for r in self.rows if r.flagged)
-
-
-def _pattern_counts(tally: ClassTally) -> Dict[str, int]:
-    return {
-        "no_click": tally.bob_no_click,
-        "single": tally.bob_single_click,
-        "double": tally.bob_double_click,
-    }
 
 
 def decoy_distortion(
@@ -447,23 +428,31 @@ def decoy_distortion(
     active_plan(params, length_km, mu_e), Eve's optimum when mu_e is None;
     at the full budget she forwards the expected intensity unblocked
     (mu_b_prime = mu_b, b = 0), which distorts nothing and never flags.
+    The report carries that plan, from which its expected cells come.
     """
     attacked, baseline = _stream_pair(params, length_km, n_pulses, seed, mu_e)
-    expect_no = _pattern_probabilities(params, length_km)
-    expect_att = _pattern_probabilities(params, length_km, active_plan(params, length_km, mu_e))
+    plan = active_plan(params, length_km, mu_e)
+    p_no = -math.expm1(-channel_point(params, length_km).mu_b)
+    expect_no = _pattern_probabilities(p_no, 0.0, 0.0)
+    # Eve blocks inconclusive pulses at beta and finds decoys inconclusive
+    # less often: b on information pulses, exp(-2 mu_e) * beta on decoys.
+    expect_att = _pattern_probabilities(
+        -math.expm1(-plan.mu_b_prime),
+        plan.block_fraction,
+        math.exp(-2.0 * plan.mu_e) * blocking_probability(plan),
+    )
 
     rows = []
     for name, att_tally in attacked.classes():
         if name == "decoy" and params.decoy_fraction == 0.0:
             continue
         base_tally = getattr(baseline, name)
-        att_counts = _pattern_counts(att_tally)
-        base_counts = _pattern_counts(base_tally)
-        for pattern in ("no_click", "single", "double"):
-            e_no = expect_no[name][pattern]
-            e_att = expect_att[name][pattern]
-            obs_att, se_att = rate_with_error(att_counts[pattern], att_tally.sent)
-            obs_no, se_no = rate_with_error(base_counts[pattern], base_tally.sent)
+        cells = zip(
+            _PATTERNS, expect_no[name], expect_att[name], att_tally.patterns, base_tally.patterns
+        )
+        for pattern, e_no, e_att, att_count, base_count in cells:
+            obs_att, se_att = rate_with_error(att_count, att_tally.sent)
+            obs_no, se_no = rate_with_error(base_count, base_tally.sent)
             se_model = _binomial_se(e_att, att_tally.sent)
             flagged = se_model > 0 and abs(e_att - e_no) > 5.0 * se_model
             if se_model > 0:
@@ -471,17 +460,6 @@ def decoy_distortion(
             else:
                 z = 0.0 if obs_att == e_no else math.inf
             rows.append(
-                PatternRow(
-                    pulse_class=name,
-                    pattern=pattern,
-                    expected_no_attack=e_no,
-                    expected_attack=e_att,
-                    observed_no_attack=obs_no,
-                    observed_no_attack_se=se_no,
-                    observed_attack=obs_att,
-                    observed_attack_se=se_att,
-                    z_observed=z,
-                    flagged=flagged,
-                )
+                PatternRow(name, pattern, e_no, e_att, obs_no, se_no, obs_att, se_att, z, flagged)
             )
-    return DistortionReport(n_pulses=n_pulses, seed=seed & _MASK64, rows=tuple(rows))
+    return DistortionReport(n_pulses=n_pulses, seed=seed & _MASK64, rows=tuple(rows), plan=plan)

@@ -18,7 +18,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__
-from .attacks import _margin, active_attack, bs_attack, optimal_source_intensity
+from .attacks import _margin, active_attack, active_eve_info, bs_attack, optimal_source_intensity
 from .core import ProtocolParams, _binomial_se, attenuate
 
 if TYPE_CHECKING:  # the simulator pulls in numpy; only validation runs need it
@@ -323,16 +323,16 @@ def run_montecarlo_validation(
     the unattacked baseline rates. The delivered click rate equals the
     lossy line's 1 - exp(-mu_b) wherever the plan balances the budget;
     beyond the fully-insecure length the capped plan cannot, and Bob sees
-    fewer clicks than the lossy line would give. The plan and i_AE are
-    active_attack's, and Bob's expected rates are the expected cells of
-    the attached decoy-distortion report. Deterministic for fixed inputs.
+    fewer clicks than the lossy line would give. The plan, and so i_AE,
+    is the attached decoy-distortion report's plan, and Bob's expected
+    rates are its expected cells. Deterministic for fixed inputs.
     """
     from . import montecarlo
 
-    report = active_attack(params, length_km)
-    plan, i_ae = report.plan, report.i_ae
     attacked, baseline = montecarlo._stream_pair(params, length_km, n_pulses, seed)
     distortion = montecarlo.decoy_distortion(params, length_km, n_pulses, seed)
+    plan = distortion.plan
+    i_ae = active_eve_info(plan)
     cells = {(r.pulse_class, r.pattern): r for r in distortion.rows}
     info_single = cells["bit0", "single"]
     p_bob, p_bob_attacked = info_single.expected_no_attack, info_single.expected_attack

@@ -115,7 +115,10 @@ def test_active_attack_grid_rates(mu, length):
     stats = simulate_active_attack(p, length, N, SEED)
     info = stats.info
     expect = policy_expectations(p, length, plan)
-    patterns = _pattern_probabilities(p, length, plan)
+    block_decoy = math.exp(-2.0 * plan.mu_e) * blocking_probability(plan)
+    patterns = _pattern_probabilities(
+        -math.expm1(-plan.mu_b_prime), plan.block_fraction, block_decoy
+    )
 
     assert_within_4_sigma(info.eve_conclusive, info.sent, plan.p_conc_inf, "eve conclusive")
     assert_within_4_sigma(
@@ -128,7 +131,7 @@ def test_active_attack_grid_rates(mu, length):
         info.eve_conclusive_bob_click, info.bob_click, expect["i_ae_proxy"], "i_ae proxy"
     )
     assert_within_4_sigma(
-        stats.decoy.bob_double_click, stats.decoy.sent, patterns["decoy"]["double"], "decoy double"
+        stats.decoy.bob_double_click, stats.decoy.sent, patterns["decoy"][2], "decoy double"
     )
     # Eve never blocks her conclusive pulses
     for _, tally in stats.classes():
@@ -531,15 +534,15 @@ def test_pattern_probabilities_no_attack_formulas():
     p = params(0.2)
     point = channel_point(p, 20.0)
     x = math.exp(-point.mu_b)
-    pat = _pattern_probabilities(p, 20.0)
-    assert pat["bit0"]["no_click"] == pytest.approx(x, abs=1e-15)
-    assert pat["bit0"]["single"] == pytest.approx(1.0 - x, abs=1e-15)
-    assert pat["bit0"]["double"] == 0.0
-    assert pat["decoy"]["no_click"] == pytest.approx(x * x, abs=1e-15)
-    assert pat["decoy"]["single"] == pytest.approx(2.0 * x * (1.0 - x), abs=1e-15)
-    assert pat["decoy"]["double"] == pytest.approx((1.0 - x) ** 2, abs=1e-15)
+    pat = _pattern_probabilities(-math.expm1(-point.mu_b), 0.0, 0.0)
+    assert pat["bit0"][0] == pytest.approx(x, abs=1e-15)
+    assert pat["bit0"][1] == pytest.approx(1.0 - x, abs=1e-15)
+    assert pat["bit0"][2] == 0.0
+    assert pat["decoy"][0] == pytest.approx(x * x, abs=1e-15)
+    assert pat["decoy"][1] == pytest.approx(2.0 * x * (1.0 - x), abs=1e-15)
+    assert pat["decoy"][2] == pytest.approx((1.0 - x) ** 2, abs=1e-15)
     for cls in pat.values():
-        assert sum(cls.values()) == pytest.approx(1.0, abs=1e-14)
+        assert sum(cls) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_pattern_probabilities_attack_formulas():
@@ -547,13 +550,13 @@ def test_pattern_probabilities_attack_formulas():
     plan = active_plan(p, 20.0)
     beta = blocking_probability(plan)
     q = -math.expm1(-plan.mu_b_prime)
-    pat = _pattern_probabilities(p, 20.0, plan)
+    pat = _pattern_probabilities(q, plan.block_fraction, math.exp(-2.0 * plan.mu_e) * beta)
     survive_decoy = 1.0 - math.exp(-2.0 * plan.mu_e) * beta
-    assert pat["decoy"]["double"] == pytest.approx(survive_decoy * q * q, abs=1e-15)
+    assert pat["decoy"][2] == pytest.approx(survive_decoy * q * q, abs=1e-15)
     survive_info = 1.0 - math.exp(-plan.mu_e) * beta
-    assert pat["bit0"]["single"] == pytest.approx(survive_info * q, abs=1e-15)
+    assert pat["bit0"][1] == pytest.approx(survive_info * q, abs=1e-15)
     for cls in pat.values():
-        assert sum(cls.values()) == pytest.approx(1.0, abs=1e-14)
+        assert sum(cls) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_distortion_flags_decoy_double_for_half_intensity_plan():

@@ -565,6 +565,24 @@ def test_validation_passes_at_every_length(f):
         assert report.passed, (k, report.verdict)
 
 
+@pytest.mark.parametrize("f", [0.1, 0.0])
+@pytest.mark.parametrize("length", [5.0, 40.0, 150.0])
+def test_validation_takes_the_one_plan_its_distortion_report_carries(f, length):
+    # below the critical length, blocking and beyond the fully-insecure length
+    from cowsec.attacks import active_eve_info
+    from cowsec.core import channel_point
+    from cowsec.montecarlo import decoy_distortion
+
+    p = ProtocolParams(mu=0.2, decoy_fraction=f)
+    budget = channel_point(p, length).mu_e_max
+    for mu_e in (None, 0.4 * budget, budget):
+        assert decoy_distortion(p, length, 1000, 3, mu_e).plan == active_plan(p, length, mu_e)
+    report = run_montecarlo_validation(p, length, 1000, 3)
+    plan = report.distortion.plan
+    assert plan == active_plan(p, length)
+    assert report.plan == {**plan._asdict(), "i_ae": active_eve_info(plan)}
+
+
 def test_validation_without_decoys_skips_decoy_check():
     report = run_montecarlo_validation(
         ProtocolParams(mu=0.2, decoy_fraction=0.0), 20.0, 100_000, 42
