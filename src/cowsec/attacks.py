@@ -245,9 +245,7 @@ def _margin(mu_b: float, i_ae: float) -> float:
     return -math.expm1(-mu_b) * (1.0 - i_ae)
 
 
-def optimal_source_intensity(
-    delta: float, f: float, length_km: float
-) -> OptimalIntensity:
+def optimal_source_intensity(delta: float, length_km: float) -> OptimalIntensity:
     """Source intensity maximising the key-rate margin at a given length.
 
     With T = 10**(-delta*L/10) the regime depends on L alone. Below the
@@ -258,9 +256,8 @@ def optimal_source_intensity(
     condition T*exp(-mu*T) = exp(-mu/2) - exp(-mu) has exactly one root in
     (0, MU_SEARCH_MAX]; bisection finds it. mu* is clipped to
     MU_SEARCH_MAX, which binds below about 5 km at 0.2 dB/km, where the
-    unconstrained optimum is brighter (unbounded at 0 km). The decoy
-    fraction f does not enter the margin, so it only reaches the result
-    through parameter validation. The margin is key_rate_margin at mu*; a
+    unconstrained optimum is brighter (unbounded at 0 km). The margin is
+    key_rate_margin at mu*, which the decoy fraction does not enter; a
     degenerate result (no positive margin, e.g. when the long-channel
     optimum is too dim for double precision to resolve) is flagged
     rather than raised.
@@ -271,8 +268,7 @@ def optimal_source_intensity(
     else:
         mu_star = _stationary_root(t)
     mu_star = min(mu_star, MU_SEARCH_MAX)
-    params = ProtocolParams(mu=mu_star, decoy_fraction=f, delta=delta)
-    margin = key_rate_margin(params, length_km)
+    margin = key_rate_margin(ProtocolParams(mu=mu_star, delta=delta), length_km)
     return OptimalIntensity(mu=mu_star, margin=margin, degenerate=margin <= 0.0)
 
 

@@ -43,7 +43,6 @@ __all__ = [
     "PatternRow",
     "DistortionReport",
     "blocking_probability",
-    "derive_stream_seed",
     "simulate_no_attack",
     "simulate_active_attack",
     "decoy_distortion",
@@ -75,21 +74,12 @@ _CHUNK = 1 << 16
 # Slot-0 counters seed + (8 * idx + 1) * _GOLDEN mod 2^64 repeat after 2^61 pulses.
 _PULSE_PERIOD = 1 << 61
 
-# Stream tag for the unattacked baseline run of _stream_pair.
-_BASELINE_STREAM = 1
-
 # Bob's detection patterns, in the order of ClassTally.patterns.
 _PATTERNS = ("no_click", "single", "double")
 
 
-def _mix(z: np.ndarray, tmp: Optional[np.ndarray] = None) -> np.ndarray:
-    """SplitMix64 finalizer, in place on a uint64 array (arrays wrap silently, scalars warn).
-
-    tmp, an array of z's shape, holds the shifted words; one is allocated
-    when it is not given.
-    """
-    if tmp is None:
-        tmp = np.empty_like(z)
+def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, in place on a uint64 array; tmp, of z's shape, holds shifted words."""
     z ^= np.right_shift(z, np.uint64(30), out=tmp)
     z *= np.uint64(_MIX1)
     z ^= np.right_shift(z, np.uint64(27), out=tmp)
@@ -98,13 +88,14 @@ def _mix(z: np.ndarray, tmp: Optional[np.ndarray] = None) -> np.ndarray:
     return z
 
 
-def derive_stream_seed(seed: int, stream: int) -> int:
-    """Derive an unrelated 64-bit seed for an auxiliary simulation stream.
+def _baseline_seed(seed: int) -> int:
+    """The unattacked baseline run's 64-bit seed, SplitMix64 of the counter seed + 2 * golden.
 
-    The nonlinear finalizer keeps the derived stream's counter sequence
-    from aliasing the parent's (a plain additive offset would).
+    The nonlinear finalizer keeps the baseline's counter sequence from
+    aliasing the attacked run's (a plain additive offset would).
     """
-    return int(_mix(np.array([(seed + (stream + 1) * _GOLDEN) & _MASK64], np.uint64))[0])
+    z = np.array([(seed + 2 * _GOLDEN) & _MASK64], np.uint64)
+    return int(_mix(z, np.empty_like(z))[0])
 
 
 def _words(base: np.ndarray, slot: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -354,11 +345,9 @@ def _stream_pair(
     seed: int,
     mu_e: Optional[float] = None,
 ) -> Tuple[TrialStats, TrialStats]:
-    """The attacked run at seed and the unattacked baseline at the derived stream seed."""
+    """The attacked run at seed and the unattacked baseline at _baseline_seed(seed)."""
     attacked = simulate_active_attack(params, length_km, n_pulses, seed, mu_e=mu_e)
-    baseline = simulate_no_attack(
-        params, length_km, n_pulses, derive_stream_seed(seed, _BASELINE_STREAM)
-    )
+    baseline = simulate_no_attack(params, length_km, n_pulses, _baseline_seed(seed))
     return attacked, baseline
 
 
@@ -424,7 +413,8 @@ def decoy_distortion(
     statistically detectable on Bob's side. The flag uses the analytic
     probabilities, making it deterministic up to class-count fluctuations;
     observed frequencies and their z-scores against the unattacked
-    expectation are reported alongside. The attack is
+    expectation are reported alongside, NaN for a class that no pulse
+    fell in. The attack is
     active_plan(params, length_km, mu_e), Eve's optimum when mu_e is None;
     at the full budget she forwards the expected intensity unblocked
     (mu_b_prime = mu_b, b = 0), which distorts nothing and never flags.
@@ -457,8 +447,10 @@ def decoy_distortion(
             flagged = se_model > 0 and abs(e_att - e_no) > 5.0 * se_model
             if se_model > 0:
                 z = (obs_att - e_no) / se_model
-            else:
+            elif att_tally.sent:
                 z = 0.0 if obs_att == e_no else math.inf
+            else:  # no pulse of this class, so nothing was observed
+                z = math.nan
             rows.append(
                 PatternRow(name, pattern, e_no, e_att, obs_no, se_no, obs_att, se_att, z, flagged)
             )

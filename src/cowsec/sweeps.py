@@ -154,7 +154,6 @@ def sweep_qber_curves(
             "mu": ",".join(f"{m:.17g}" for m in mu_list),
             **_channel_config(delta, decoy_fraction, (l_min, l_max, l_step)),
             "attacks": ",".join(attacks),
-            "format": fmt,
         }
         write_sweep(output_path, rows, config, fmt)
     return rows
@@ -163,7 +162,7 @@ def sweep_qber_curves(
 def _optimal_row(delta: float, f: float, length_km: float) -> SweepRow:
     # _qber_row's margin runs the same operations as key_rate_margin, so it
     # equals optimal_source_intensity's margin bit for bit.
-    mu = optimal_source_intensity(delta, f, length_km).mu
+    mu = optimal_source_intensity(delta, length_km).mu
     return _qber_row(ProtocolParams(mu, f, delta), length_km, _ATTACK_NAMES)._replace(mu_opt=mu)
 
 
@@ -183,7 +182,6 @@ def sweep_optimal_intensity(
         config = {
             "command": "optimal-intensity",
             **_channel_config(delta, f, (l_min, l_max, l_step)),
-            "format": fmt,
         }
         write_sweep(output_path, rows, config, fmt)
     return rows
@@ -202,9 +200,9 @@ def _channel_config(delta: float, f: float, grid: Tuple[float, float, float]) ->
 
 
 def write_sweep(path: str, rows: Sequence[SweepRow], config: Dict[str, str], fmt: str = "csv") -> None:
-    """Write a sweep table in fmt "csv" or "json", its configuration in the header."""
+    """Write a sweep table in fmt "csv" or "json" under a header of tool, version, config, format."""
     _check_format(fmt)
-    meta = {"tool": "cowsec", "version": __version__, **config}
+    meta = {"tool": "cowsec", "version": __version__, **config, "format": fmt}
     try:
         with open(path, "w", newline="") as fh:
             if fmt == "csv":

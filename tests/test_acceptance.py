@@ -214,7 +214,7 @@ def test_criterion_10_source_intensity_optimisation():
     ok = True
     details = []
     for length in (10.0, 30.0, 50.0):
-        opt = optimal_source_intensity(0.2, 0.1, length)
+        opt = optimal_source_intensity(0.2, length)
         grid = np.linspace(2.0 / 2000, 2.0, 2000)
         best_grid = max(key_rate_margin(params(m), length) for m in grid)
         dominates = opt.margin >= best_grid - 1e-12

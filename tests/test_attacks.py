@@ -6,6 +6,8 @@ inline with numpy and never reuse the optimisers under test.
 """
 
 import math
+import random
+import sys
 
 import mpmath
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from cowsec.attacks import (
     FULLY_INSECURE_TOL,
+    MU_SEARCH_MAX,
     ActiveAttackPlan,
     active_attack,
     active_eve_info,
@@ -512,7 +515,7 @@ def test_bs_critical_qber_is_non_increasing_in_length_up_to_rounding(mu, length,
 
 @pytest.mark.parametrize("length", [10.0, 30.0, 50.0])
 def test_optimal_intensity_local_and_grid_optimality(length):
-    opt = optimal_source_intensity(0.2, 0.1, length)
+    opt = optimal_source_intensity(0.2, length)
     assert not opt.degenerate
     assert opt.margin > 0.0
     # local optimality
@@ -534,7 +537,7 @@ def test_optimal_intensity_maximiser_precision():
     length = 8.0
     t = 10.0 ** (-0.2 * length / 10.0)
     exact = -math.log(1.0 - t) / t
-    opt = optimal_source_intensity(0.2, 0.1, length)
+    opt = optimal_source_intensity(0.2, length)
     assert opt.mu == pytest.approx(exact, abs=1e-6)
 
 
@@ -543,7 +546,7 @@ def test_optimal_intensity_continuity_in_length():
     # by less than 0.05 per step even on its steepest descent from the
     # search bound (where the true slope is ~0.12 per km)
     lengths = np.arange(1.0, 100.0 + 1e-9, 0.25)
-    mus = [optimal_source_intensity(0.2, 0.1, l).mu for l in lengths]
+    mus = [optimal_source_intensity(0.2, l).mu for l in lengths]
     max_step = max(abs(b - a) for a, b in zip(mus, mus[1:]))
     assert max_step <= 0.05
 
@@ -552,20 +555,32 @@ def test_optimal_intensity_degenerate_reporting():
     # the insecurity length diverges as mu -> 0, so even at 300 km an
     # extremely dim source keeps a sliver of margin; at 1000 km everything
     # the search can reach is fully insecure and the result is degenerate
-    barely = optimal_source_intensity(0.2, 0.1, 300.0)
+    barely = optimal_source_intensity(0.2, 300.0)
     assert not barely.degenerate
     assert 0.0 < barely.margin < 1e-6
-    hopeless = optimal_source_intensity(0.2, 0.1, 1000.0)
+    hopeless = optimal_source_intensity(0.2, 1000.0)
     assert hopeless.degenerate
     assert hopeless.margin <= 0.0
 
 
-def test_optimal_intensity_ignores_decoy_fraction():
+@pytest.mark.parametrize(
+    "mu, length, secure, at_cap",
+    [
+        (0.5, 10.0, True, False),
+        (2.0, 0.5, True, False),
+        (0.5, 30.0, True, False),
+        (0.5, 80.0, False, True),
+        (0.05, 95.68961614815218, False, False),
+    ],
+    ids=["below-critical", "search-bound", "blocking", "at-cap", "fully-insecure-below-cap"],
+)
+def test_margin_does_not_depend_on_decoy_fraction(mu, length, secure, at_cap):
     # decoys change Eve's total conclusive rate but not the margin
-    for length in (0.5, 10.0, 15.0, 30.0, 120.0):
-        assert optimal_source_intensity(0.2, 0.0, length) == optimal_source_intensity(
-            0.2, 0.5, length
-        )
+    margins = [key_rate_margin(params(mu, f), length) for f in (0.0, 0.1, 0.5, 0.9)]
+    assert margins == [margins[0]] * 4
+    assert (margins[0] > 0.0) == secure
+    plan = active_plan(params(mu), length)
+    assert (plan.block_fraction == 1.0 - plan.p_conc_inf) == at_cap
 
 
 def test_optimal_intensity_clips_to_search_bound_on_short_channel():
@@ -573,7 +588,7 @@ def test_optimal_intensity_clips_to_search_bound_on_short_channel():
     # which exceeds the search bound of 2 at 0.5 km
     t = 10.0 ** (-0.2 * 0.5 / 10.0)
     assert -math.log(1.0 - t) / t > 2.0
-    opt = optimal_source_intensity(0.2, 0.1, 0.5)
+    opt = optimal_source_intensity(0.2, 0.5)
     assert opt.mu == 2.0
     assert opt.margin == key_rate_margin(params(2.0), 0.5)
     assert not opt.degenerate
@@ -583,7 +598,55 @@ def test_optimal_intensity_clips_to_search_bound_on_short_channel():
 def test_optimal_intensity_hopeless_channel_is_degenerate(length):
     # at 20000 km the transmittance underflows to exactly 0; the optimiser
     # must still hand ProtocolParams a positive intensity and flag the result
-    opt = optimal_source_intensity(0.2, 0.1, length)
+    opt = optimal_source_intensity(0.2, length)
     assert opt.degenerate
     assert opt.margin == 0.0
     assert 0.0 < opt.mu <= 2.0
+
+
+def mp_optimal_intensity(delta: float, length: float) -> mpmath.mpf:
+    # With T = 10**(-delta*L/10): -ln(1-T)/T below the critical length, else
+    # the root of T*exp(-mu*T) = exp(-mu/2) - exp(-mu), both clipped at
+    # MU_SEARCH_MAX. The root is about 2T on long channels, and findroot's
+    # absolute tolerance returns wrong roots in mu once they are below about
+    # 1e-30, so it solves for x = mu/T, which stays of order one, after
+    # dividing by T.
+    with mpmath.workdps(40):
+        t = mpmath.mpf(10) ** (-mpmath.mpf(delta) * mpmath.mpf(length) / 10)
+        if t >= 0.5:
+            mu = -mpmath.log1p(-t) / t if t < 1 else mpmath.inf
+        else:
+            def stationarity(x):
+                return mpmath.exp(-x * t * t) - mpmath.exp(-x * t) * mpmath.expm1(x * t / 2) / t
+
+            mu = t * mpmath.findroot(stationarity, (mpmath.mpf("1e-3"), 2 / t), solver="illinois")
+        return min(mu, mpmath.mpf(MU_SEARCH_MAX))
+
+
+def optimal_intensity_lengths(delta: float):
+    # the clip length, where -ln(1-T)/T = MU_SEARCH_MAX, and the critical
+    # length, each approached from both sides; 0 km; random lengths to 4,000 km
+    with mpmath.workdps(40):
+        t_clip = mpmath.findroot(
+            lambda t: -mpmath.log1p(-t) - MU_SEARCH_MAX * t, (0.6, 0.99), solver="illinois"
+        )
+        clip = float(-10 * mpmath.log10(t_clip) / delta)
+    lengths = [0.0]
+    for edge in (clip, critical_length(delta)):
+        lengths += [edge * (1.0 + side * 10.0**-k) for k in range(1, 10) for side in (-1, 1)]
+    rng = random.Random(2016)
+    lengths += [rng.uniform(0.0, 4000.0) for _ in range(32)]
+    lengths += [10.0 ** rng.uniform(-3.0, math.log10(4000.0)) for _ in range(31)]
+    return lengths
+
+
+@pytest.mark.parametrize("delta", [0.15, 0.2, 0.35])
+def test_optimal_intensity_matches_mpmath(delta):
+    # T's rounding error grows with the exponent delta*L/10, and mu* of a
+    # long channel is about 2T, so the bound grows with L
+    for length in optimal_intensity_lengths(delta):
+        got = optimal_source_intensity(delta, length).mu
+        expected = mp_optimal_intensity(delta, length)
+        bound = (4.0 + math.log(10.0) * delta * length / 10.0) * sys.float_info.epsilon
+        with mpmath.workdps(40):
+            assert abs(got - expected) <= bound * expected, (length, got, expected)

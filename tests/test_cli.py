@@ -190,3 +190,17 @@ def test_a_bad_length_grid_is_reported_before_a_bad_mu(argv, message, tmp_path, 
     assert cli.main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_optimal_intensity_tables_differ_only_in_the_decoy_fraction(tmp_path):
+    # decoys change Eve's total conclusive rate but no column of the table;
+    # 0:1000:10 runs from the search bound through blocking to degenerate rows
+    tables = []
+    for f in ("0", "0.5"):
+        out = tmp_path / f"f{f}.csv"
+        argv = ["optimal-intensity", "--decoy-fraction", f, "--length", "0:1000:10"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        tables.append(out.read_text().splitlines())
+    assert len(tables[0]) == len(tables[1]) == 109
+    changed = [(a, b) for a, b in zip(*tables) if a != b]
+    assert changed == [("# decoy_fraction=0", "# decoy_fraction=0.5")]

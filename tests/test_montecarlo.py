@@ -23,6 +23,7 @@ from cowsec.core import ProtocolParams, channel_point
 from cowsec.montecarlo import (
     ClassTally,
     TrialStats,
+    _baseline_seed,
     _below,
     _buffers,
     _mix,
@@ -31,7 +32,6 @@ from cowsec.montecarlo import (
     _words,
     blocking_probability,
     decoy_distortion,
-    derive_stream_seed,
     simulate_active_attack,
     simulate_no_attack,
 )
@@ -310,10 +310,9 @@ def test_golden_counts_kernel_branches(p, length, mu_e, beta, counts):
 
 
 def test_derived_stream_seed_is_distinct_and_stable():
-    assert derive_stream_seed(SEED, 1) == derive_stream_seed(SEED, 1)
-    assert derive_stream_seed(SEED, 1) != SEED
-    assert derive_stream_seed(SEED, 1) != derive_stream_seed(SEED, 2)
-    assert 0 <= derive_stream_seed(SEED, 1) < 2**64
+    assert _baseline_seed(SEED) == _baseline_seed(SEED)
+    assert _baseline_seed(SEED) != SEED
+    assert 0 <= _baseline_seed(SEED) < 2**64
 
 
 def splitmix64_stream_seed(seed, stream):
@@ -326,12 +325,11 @@ def splitmix64_stream_seed(seed, stream):
     return x ^ (x >> 31)
 
 
-@pytest.mark.parametrize("stream", [0, 1, 5])
-def test_derived_stream_seed_matches_splitmix64_reference(stream):
+def test_derived_stream_seed_matches_splitmix64_reference():
     rng = random.Random(2014)
     seeds = [0, -1, 2**64 - 1, 2**70] + [rng.randrange(-(2**80), 2**80) for _ in range(1000)]
     for seed in seeds:
-        assert derive_stream_seed(seed, stream) == splitmix64_stream_seed(seed, stream), seed
+        assert _baseline_seed(seed) == splitmix64_stream_seed(seed, 1), seed
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +341,7 @@ MASK64 = (1 << 64) - 1
 
 def uniforms_oracle(base, slot):
     """Unit uniforms of one draw slot, made as the kernel made them before it compared integers."""
-    z = _mix(base + np.uint64((slot * GOLDEN) & MASK64))
+    z = _mix(base + np.uint64((slot * GOLDEN) & MASK64), np.empty_like(base))
     # Top 53 bits give a uniform double in [0, 1).
     z >>= np.uint64(11)
     return z.astype(np.float64) * 2.0**-53
@@ -588,6 +586,25 @@ def test_distortion_report_without_decoys_has_no_decoy_rows():
     p = params(0.2, f=0.0)
     report = decoy_distortion(p, 20.0, 100_000, SEED)
     assert {r.pulse_class for r in report.rows} == {"bit0", "bit1"}
+
+
+def test_distortion_z_is_nan_for_a_class_no_pulse_fell_in():
+    # one pulse: the classes it missed observe nothing, so their observed
+    # rates and z are NaN, and none is flagged
+    p = params(0.2)
+    attacked = simulate_active_attack(p, 20.0, 1, SEED)
+    report = decoy_distortion(p, 20.0, 1, SEED)
+    assert len(report.rows) == 9
+    for row in report.rows:
+        empty = getattr(attacked, row.pulse_class).sent == 0
+        assert math.isnan(row.observed_attack) == empty
+        assert math.isnan(row.z_observed) == empty, row
+        assert not row.flagged
+    # the pulse is a bit1, whose double click cannot happen and did not: z stays 0
+    assert attacked.bit1.sent == 1
+    double = report.rows[5]
+    assert (double.pulse_class, double.pattern) == ("bit1", "double")
+    assert double.expected_attack == double.observed_attack == double.z_observed == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,7 @@ def test_every_record_is_immutable():
     report = run_montecarlo_validation(params, 20.0, 1000, 1)
     records = [
         params, channel_point(params, 20.0), active.plan, active,
-        optimal_source_intensity(0.2, 0.1, 20.0), SweepRow(0.2, 20.0),
+        optimal_source_intensity(0.2, 20.0), SweepRow(0.2, 20.0),
         report.checks[0], report, report.distortion, report.distortion.rows[0], ClassTally(),
         TrialStats(1, 1),
     ]
@@ -309,7 +309,7 @@ COLUMNS = SweepRow._fields
 
 
 def oracle_csv(rows, config):
-    """CSV bytes as csv.writer writes them, one cell formatted at a time."""
+    """CSV bytes as csv.writer writes them, one cell formatted at a time, under the header."""
 
     def cell(value):
         if isinstance(value, bool):
@@ -319,7 +319,7 @@ def oracle_csv(rows, config):
         return str(value)
 
     buf = io.StringIO(newline="")
-    for key, value in {"tool": "cowsec", "version": __version__, **config}.items():
+    for key, value in {"tool": "cowsec", "version": __version__, **config, "format": "csv"}.items():
         buf.write(f"# {key}={value}\n")
     writer = csv.writer(buf)
     writer.writerow(COLUMNS)
@@ -441,7 +441,7 @@ def test_optimal_intensity_sweep_margin_is_the_optimisers_margin(delta):
     # the rows take their margin from the qber row builder, not from the optimiser
     rows = sweep_optimal_intensity(delta, 0.1, 0.0, 300.0, 0.5)
     for row in rows:
-        assert row.margin == optimal_source_intensity(delta, 0.1, row.length_km).margin
+        assert row.margin == optimal_source_intensity(delta, row.length_km).margin
 
 
 def test_qber_sweep_columns_are_the_librarys_values_on_every_row():
