@@ -153,19 +153,12 @@ def _cmd_attack_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate_mc(args: argparse.Namespace) -> int:
-    from .sweeps import _json_text, run_montecarlo_validation
+    from .sweeps import _write_report, run_montecarlo_validation
 
     params = ProtocolParams(mu=args.mu, decoy_fraction=args.decoy_fraction, delta=args.delta)
     report = run_montecarlo_validation(params, args.length, args.pulses, args.seed)
-    text = _json_text(report.to_jsonable())
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise OSError(f"cannot write report to {args.out}: {exc}") from exc
+    _write_report(report, args.out)
+    if args.out is not None:
         print(f"wrote {args.out} ({report.verdict})")
     return 0 if report.passed else 1
 

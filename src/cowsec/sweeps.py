@@ -7,15 +7,17 @@ from one line template derived from SweepRow's fields, ended by CRLF as
 csv.writer ends lines; no cell ever needs quoting, so the csv module is
 not needed. Outputs carry the fully resolved configuration in their
 header and contain nothing time-dependent, so identical inputs give
-byte-identical files.
+byte-identical files. Every file, sweep table or validation report, is
+written by one writer, _write, without newline translation.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__
 from .attacks import _margin, active_attack, active_eve_info, bs_attack, optimal_source_intensity
@@ -199,21 +201,38 @@ def _channel_config(delta: float, f: float, grid: Tuple[float, float, float]) ->
     }
 
 
-def write_sweep(path: str, rows: Sequence[SweepRow], config: Dict[str, str], fmt: str = "csv") -> None:
-    """Write a sweep table in fmt "csv" or "json" under a header of tool, version, config, format."""
-    _check_format(fmt)
-    meta = {"tool": "cowsec", "version": __version__, **config, "format": fmt}
+def _write(path: str, chunks: Iterable[str], what: str) -> None:
+    """Write chunks to path without newline translation; every output file goes through here."""
     try:
         with open(path, "w", newline="") as fh:
-            if fmt == "csv":
-                for key, value in meta.items():
-                    fh.write(f"# {key}={value}\n")
-                fh.write(",".join(_COLUMNS) + "\r\n")
-                fh.writelines(_CSV_LINES[row.fully_insecure] % _FLOAT_CELLS(row) for row in rows)
-            else:
-                fh.write(_json_text({"metadata": meta, "rows": [r._asdict() for r in rows]}))
+            fh.writelines(chunks)
     except OSError as exc:
-        raise OSError(f"cannot write sweep table to {path}: {exc}") from exc
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
+
+
+def write_sweep(path: str, rows: Sequence[SweepRow], config: Dict[str, str], fmt: str = "csv") -> None:
+    """Write a sweep table in fmt "csv" or "json" under a header of tool, version, config, format.
+
+    The file goes through _write, the writer of the validation report too.
+    """
+    _check_format(fmt)
+    meta = {"tool": "cowsec", "version": __version__, **config, "format": fmt}
+    if fmt == "json":
+        chunks = [_json_text({"metadata": meta, "rows": [r._asdict() for r in rows]})]
+    else:
+        header = [f"# {key}={value}\n" for key, value in meta.items()]
+        header.append(",".join(_COLUMNS) + "\r\n")
+        chunks = chain(header, (_CSV_LINES[row.fully_insecure] % _FLOAT_CELLS(row) for row in rows))
+    _write(path, chunks, "sweep table")
+
+
+def _write_report(report: ValidationReport, path: Optional[str]) -> None:
+    """Write a validation report's JSON to path, or to stdout when path is None."""
+    text = _json_text(report.to_jsonable())
+    if path is None:
+        print(text, end="")
+    else:
+        _write(path, [text], "report")
 
 
 def _finite_or_none(value: object) -> object:
@@ -332,40 +351,20 @@ def run_montecarlo_validation(
     plan = distortion.plan
     i_ae = active_eve_info(plan)
     cells = {(r.pulse_class, r.pattern): r for r in distortion.rows}
-    info_single = cells["bit0", "single"]
-    p_bob, p_bob_attacked = info_single.expected_no_attack, info_single.expected_attack
-
-    base_info = baseline.info
-    att_info = attacked.info
-    checks = [
-        _make_check("no_attack_info_click_rate", base_info.bob_click, base_info.sent, p_bob),
-        _make_check(
-            "attack_bob_info_click_rate", att_info.bob_click, att_info.sent, p_bob_attacked
-        ),
-        _make_check(
-            "attack_eve_conclusive_info_rate",
-            att_info.eve_conclusive,
-            att_info.sent,
-            plan.p_conc_inf,
-        ),
-        _make_check(
-            "attack_blocked_fraction", att_info.blocked, att_info.sent, plan.block_fraction
-        ),
-        _make_check(
-            "attack_i_ae_proxy", att_info.eve_conclusive_bob_click, att_info.bob_click, i_ae
-        ),
-    ]
-    if params.decoy_fraction > 0:
-        checks.insert(
-            1,
-            _make_check(
-                "no_attack_decoy_double_rate",
-                baseline.decoy.bob_double_click,
-                baseline.decoy.sent,
-                cells["decoy", "double"].expected_no_attack,
-            ),
-        )
+    single = cells["bit0", "single"]
+    p_double = cells["decoy", "double"].expected_no_attack if params.decoy_fraction > 0 else None
+    base, att, decoy = baseline.info, attacked.info, baseline.decoy
+    # (name, count, trials, expected) in report order; a rate of None (no decoys) is not checked
+    rows = (
+        ("no_attack_info_click_rate", base.bob_click, base.sent, single.expected_no_attack),
+        ("no_attack_decoy_double_rate", decoy.bob_double_click, decoy.sent, p_double),
+        ("attack_bob_info_click_rate", att.bob_click, att.sent, single.expected_attack),
+        ("attack_eve_conclusive_info_rate", att.eve_conclusive, att.sent, plan.p_conc_inf),
+        ("attack_blocked_fraction", att.blocked, att.sent, plan.block_fraction),
+        ("attack_i_ae_proxy", att.eve_conclusive_bob_click, att.bob_click, i_ae),
+    )
+    checks = tuple(_make_check(*row) for row in rows if row[3] is not None)
 
     config = {**params._asdict(), "length_km": length_km, "n_pulses": n_pulses, "seed": seed}
     plan_dict = {**plan._asdict(), "i_ae": i_ae}
-    return ValidationReport(config, plan_dict, tuple(checks), distortion)
+    return ValidationReport(config, plan_dict, checks, distortion)

@@ -650,3 +650,47 @@ def test_optimal_intensity_matches_mpmath(delta):
         bound = (4.0 + math.log(10.0) * delta * length / 10.0) * sys.float_info.epsilon
         with mpmath.workdps(40):
             assert abs(got - expected) <= bound * expected, (length, got, expected)
+
+
+def mp_margin_parts(delta: float, length: float, mu: float):
+    # The exact margin at a given mu, with Bob's capacity 1 - exp(-mu_B) and
+    # q = 1 - b: below the critical length Eve diverts the whole budget
+    # unblocked, so q = 1 and she misses a share exp(-mu*(1-T)) of Bob's bits;
+    # beyond it q = (1 - exp(-mu*T)) / (1 - exp(-mu/2)), and the margin is
+    # capacity minus (1 - exp(-mu/2))**2, or 0 past the blocking cap.
+    with mpmath.workdps(40):
+        t = mpmath.mpf(10) ** (-mpmath.mpf(delta) * mpmath.mpf(length) / 10)
+        mu = mpmath.mpf(mu)
+        capacity = -mpmath.expm1(-mu * t)
+        if t >= 0.5:
+            return capacity * mpmath.exp(-mu * (1 - t)), capacity, mpmath.mpf(1)
+        p_conc_inf = -mpmath.expm1(-mu / 2)
+        return max(0, capacity - p_conc_inf**2), capacity, capacity / p_conc_inf
+
+
+@pytest.mark.parametrize("delta", [0.15, 0.2, 0.35])
+def test_optimal_intensity_margin_matches_mpmath(delta):
+    # The margin at the returned float mu*, against the exact margin there,
+    # within k*eps*(1 - exp(-mu_B))*(1 + ln10*delta*L/10 + 1/q), k = 2:
+    # - the 1 bounds the roundings of the capacity, 1 - exp(-mu/2), the
+    #   quotient i_AE and 1 - i_AE, each at most eps/2 of the capacity;
+    # - ln10*delta*L/10 is T's relative rounding; the margin goes as T**2 and
+    #   is at most half the capacity, so it carries that rounding at most once;
+    # - 1/q is the blocking fraction's cancellation: b = 1 - q is rounded to
+    #   eps/4 absolute, so 1 - b carries eps/(4q) relative, and so does i_AE.
+    # The 1/q term is the formula's, not the problem's: on a long channel q is
+    # about 2T, and without it the error reaches 5.7e13 times the other terms.
+    # It also covers the degenerate points (past about 800 km at 0.2 dB/km),
+    # where the exact margin is positive, about T**2, but below what this
+    # formula resolves. Measured worst: 0.43 of the bound with k = 1.
+    for length in optimal_intensity_lengths(delta):
+        opt = optimal_source_intensity(delta, length)
+        exact, capacity, q = mp_margin_parts(delta, length, opt.mu)
+        with mpmath.workdps(40):
+            conditioning = 1 + math.log(10.0) * delta * length / 10.0 + 1 / q
+            bound = 2 * sys.float_info.epsilon * capacity * conditioning
+            assert abs(opt.margin - exact) <= bound, (length, opt.margin, exact)
+            assert exact > 0  # never degenerate in the exact model
+            assert opt.degenerate == (opt.margin == 0.0)
+            if opt.degenerate:
+                assert exact <= bound, (length, exact)

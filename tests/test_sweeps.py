@@ -687,9 +687,36 @@ def test_cli_invalid_arguments_exit_2(tmp_path, capsys):
         assert name in err and "finite" in err, (argv, err)
 
 
-def test_cli_io_error_exit_3(capsys):
-    assert cli.main(["qber-curves", "--length", "0:5:5", "--out", "/no/such/dir/f.csv"]) == 3
-    assert "cannot write" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["qber-curves", "--length", "0:5:5"], "cannot write sweep table to"),
+        (
+            ["optimal-intensity", "--length", "1:2:1", "--format", "json"],
+            "cannot write sweep table to",
+        ),
+        (["validate-mc", "--pulses", "1000"], "cannot write report to"),
+    ],
+    ids=["qber-curves", "optimal-intensity", "validate-mc"],
+)
+def test_cli_io_error_exit_3(argv, message, tmp_path, capsys):
+    # every command that writes a file, each naming what it could not write
+    out = tmp_path / "missing" / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 3
+    assert f"{message} {out}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args", [[], ["--pulses", "100", "--length", "200", "--mu", "0.1"]], ids=["default", "low-power"]
+)
+def test_cli_validate_mc_file_holds_the_bytes_it_prints(args, tmp_path, capsysbinary):
+    # the report's two routes, --out and stdout, cannot drift apart
+    cli.main(["validate-mc", *args])
+    printed = capsysbinary.readouterr().out
+    out = tmp_path / "r.json"
+    cli.main(["validate-mc", *args, "--out", str(out)])
+    assert out.read_bytes() == printed
+    assert b"\r" not in printed and printed.endswith(b"}\n")
 
 
 def test_cli_validate_mc_is_byte_identical(tmp_path):
@@ -882,7 +909,7 @@ def test_every_imported_name_is_used_or_exported():
 
 # Every read of another cowsec module's private name; a new one must be added here.
 ALLOWED_PRIVATE_READS = {
-    ("cli", "sweeps", "_json_text"),
+    ("cli", "sweeps", "_write_report"),
     ("montecarlo", "core", "_binomial_se"),
     ("sweeps", "attacks", "_margin"),
     ("sweeps", "core", "_binomial_se"),
@@ -912,6 +939,25 @@ def test_modules_read_other_modules_private_names_only_from_the_allowed_list():
             ):
                 reads.add((path.stem, node.value.id, node.attr))
     assert reads == ALLOWED_PRIVATE_READS
+
+
+def test_one_function_opens_files_and_it_translates_no_newlines():
+    # every output file goes through sweeps._write; a second writer, or one
+    # that translates newlines, would let bytes differ by command or platform
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for func in ast.walk(tree):  # outer functions first, so the innermost wins
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            called = getattr(node, "func", None)
+            if getattr(called, "id", getattr(called, "attr", None)) in ("open", "write_text"):
+                found.append(((path.stem, owner.get(node)), node))
+    assert [where for where, _ in found] == [("sweeps", "_write")]
+    keywords = {k.arg: ast.literal_eval(k.value) for k in found[0][1].keywords}
+    assert keywords == {"newline": ""}
 
 
 def test_cli_validate_mc_failure_exit_code(monkeypatch, tmp_path, capsys):
