@@ -7,15 +7,14 @@ critical QBER comes from. Run:
     python demos/channel_walkthrough.py
 """
 
-from cowsec import (
-    ProtocolParams,
+from cowsec.attacks import (
     active_attack,
     bs_attack,
-    channel_point,
     critical_length,
     fully_insecure_length,
     key_rate_margin,
 )
+from cowsec.core import ProtocolParams, channel_point
 
 
 def describe(params: ProtocolParams, length_km: float) -> None:

@@ -9,7 +9,8 @@ detection-pattern distortion that blocking imprints is tabulated. Run:
 
 import sys
 
-from cowsec import ProtocolParams, run_montecarlo_validation
+from cowsec.core import ProtocolParams
+from cowsec.sweeps import run_montecarlo_validation
 
 
 def main() -> None:

@@ -9,7 +9,7 @@ passive one and where security collapses entirely. Run:
 
 import sys
 
-from cowsec import sweep_qber_curves
+from cowsec.sweeps import sweep_qber_curves
 
 
 def main() -> None:

@@ -9,7 +9,7 @@ between Bob's and Eve's information. Run:
 
 import sys
 
-from cowsec import sweep_optimal_intensity
+from cowsec.sweeps import sweep_optimal_intensity
 
 
 def main() -> None:

@@ -82,7 +82,6 @@ class OptimalIntensity(NamedTuple):
 
     mu: float
     margin: float
-    degenerate: bool  # True when no intensity in the search range yields a positive margin
 
 
 def bs_attack(params: ProtocolParams, length_km: float) -> AttackReport:
@@ -258,9 +257,8 @@ def optimal_source_intensity(delta: float, length_km: float) -> OptimalIntensity
     MU_SEARCH_MAX, which binds below about 5 km at 0.2 dB/km, where the
     unconstrained optimum is brighter (unbounded at 0 km). The margin is
     key_rate_margin at mu*, which the decoy fraction does not enter; a
-    degenerate result (no positive margin, e.g. when the long-channel
-    optimum is too dim for double precision to resolve) is flagged
-    rather than raised.
+    margin of 0 (e.g. when the long-channel optimum is too dim for double
+    precision to resolve) is returned, not raised.
     """
     t = attenuate(1.0, delta, length_km)
     if t >= 0.5:
@@ -269,7 +267,7 @@ def optimal_source_intensity(delta: float, length_km: float) -> OptimalIntensity
         mu_star = _stationary_root(t)
     mu_star = min(mu_star, MU_SEARCH_MAX)
     margin = key_rate_margin(ProtocolParams(mu=mu_star, delta=delta), length_km)
-    return OptimalIntensity(mu=mu_star, margin=margin, degenerate=margin <= 0.0)
+    return OptimalIntensity(mu=mu_star, margin=margin)
 
 
 def _stationary_root(t: float) -> float:

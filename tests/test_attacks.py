@@ -516,7 +516,6 @@ def test_bs_critical_qber_is_non_increasing_in_length_up_to_rounding(mu, length,
 @pytest.mark.parametrize("length", [10.0, 30.0, 50.0])
 def test_optimal_intensity_local_and_grid_optimality(length):
     opt = optimal_source_intensity(0.2, length)
-    assert not opt.degenerate
     assert opt.margin > 0.0
     # local optimality
     for shift in (-0.01, 0.01):
@@ -554,13 +553,11 @@ def test_optimal_intensity_continuity_in_length():
 def test_optimal_intensity_degenerate_reporting():
     # the insecurity length diverges as mu -> 0, so even at 300 km an
     # extremely dim source keeps a sliver of margin; at 1000 km everything
-    # the search can reach is fully insecure and the result is degenerate
+    # the search can reach is fully insecure and its margin is 0
     barely = optimal_source_intensity(0.2, 300.0)
-    assert not barely.degenerate
     assert 0.0 < barely.margin < 1e-6
     hopeless = optimal_source_intensity(0.2, 1000.0)
-    assert hopeless.degenerate
-    assert hopeless.margin <= 0.0
+    assert hopeless.margin == 0.0
 
 
 @pytest.mark.parametrize(
@@ -591,15 +588,14 @@ def test_optimal_intensity_clips_to_search_bound_on_short_channel():
     opt = optimal_source_intensity(0.2, 0.5)
     assert opt.mu == 2.0
     assert opt.margin == key_rate_margin(params(2.0), 0.5)
-    assert not opt.degenerate
+    assert opt.margin > 0.0
 
 
 @pytest.mark.parametrize("length", [2000.0, 20000.0])
 def test_optimal_intensity_hopeless_channel_is_degenerate(length):
     # at 20000 km the transmittance underflows to exactly 0; the optimiser
-    # must still hand ProtocolParams a positive intensity and flag the result
+    # must still hand ProtocolParams a positive intensity and return a zero margin
     opt = optimal_source_intensity(0.2, length)
-    assert opt.degenerate
     assert opt.margin == 0.0
     assert 0.0 < opt.mu <= 2.0
 
@@ -691,6 +687,5 @@ def test_optimal_intensity_margin_matches_mpmath(delta):
             bound = 2 * sys.float_info.epsilon * capacity * conditioning
             assert abs(opt.margin - exact) <= bound, (length, opt.margin, exact)
             assert exact > 0  # never degenerate in the exact model
-            assert opt.degenerate == (opt.margin == 0.0)
-            if opt.degenerate:
+            if opt.margin == 0.0:
                 assert exact <= bound, (length, exact)

@@ -1,8 +1,11 @@
-"""Each demo runs to completion against the sources in this checkout."""
+"""Each demo, and README's library example, runs against the sources in this checkout."""
 
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -31,3 +34,15 @@ def test_demo_runs(demo, args, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert all((tmp_path / a).is_file() for a in args)
+
+
+def test_readme_library_example_prints_what_its_comments_say():
+    block = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+    with redirect_stdout(StringIO()) as out:
+        exec(block, {})
+    comments = [line.split("# ")[1].split()[0] for line in block.splitlines() if line.startswith("print(")]
+    printed = out.getvalue().split()
+    assert len(printed) == len(comments) == 3
+    for value, comment in zip(printed, comments):
+        decimals = len(comment.partition(".")[2])
+        assert f"{float(value):.{decimals}f}" == comment

@@ -3,6 +3,7 @@
 import ast
 import csv
 import hashlib
+import importlib
 import io
 import itertools
 import json
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import types
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -857,21 +859,6 @@ def test_closed_form_path_does_not_import_numpy(tmp_path):
     assert "numpy" in added["validate-mc"] and "dataclasses" not in added["validate-mc"]
 
 
-def test_package_root_resolves_sweep_names_lazily():
-    import cowsec
-    import cowsec.sweeps
-
-    namespace = {}
-    exec("from cowsec import *", namespace)
-    assert set(namespace) - {"__builtins__"} == set(cowsec.__all__)
-    assert len(cowsec.__all__) == 11
-    for name in ("sweep_qber_curves", "sweep_optimal_intensity", "run_montecarlo_validation"):
-        assert getattr(cowsec, name) is getattr(cowsec.sweeps, name)
-        assert namespace[name] is getattr(cowsec.sweeps, name)
-    with pytest.raises(AttributeError, match="no_such_name"):
-        cowsec.no_such_name
-
-
 def test_sources_parse_at_the_declared_python_floor():
     # pyproject.toml declares requires-python >= 3.10; syntax newer than
     # that (an except* block, say) fails to parse here
@@ -939,6 +926,54 @@ def test_modules_read_other_modules_private_names_only_from_the_allowed_list():
             ):
                 reads.add((path.stem, node.value.id, node.attr))
     assert reads == ALLOWED_PRIVATE_READS
+
+
+def test_each_public_name_is_exported_and_imported_only_from_its_defining_module():
+    # one home per name: a re-export, or an import through a module that
+    # only imported the name itself, would give a name a second home
+    package = Path(cli.__file__).parent
+    root = package.parent.parent
+    names = ["cowsec"] + [f"cowsec.{p.stem}" for p in sorted(package.glob("*.py")) if p.stem != "__init__"]
+    modules = {name: importlib.import_module(name) for name in names}
+    imported = {
+        name: {
+            alias.asname or alias.name
+            for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        for name, module in modules.items()
+    }
+
+    def defines(source, name):
+        value = getattr(modules[source], name)
+        if isinstance(value, types.ModuleType):
+            return value.__name__ == f"{source}.{name}"
+        if callable(value):  # a function or a class
+            return value.__module__ == source
+        return name not in imported[source]
+
+    assert modules["cowsec"].__all__ == ["__version__"]
+    root_names = [n for n, v in vars(modules["cowsec"]).items() if not isinstance(v, types.ModuleType)]
+    assert [n for n in root_names if not n.startswith("__")] == []
+    for name, module in modules.items():
+        assert not hasattr(module, "__getattr__"), name
+        assert [n for n in module.__all__ if not defines(name, n)] == [], name
+
+    wrong = []
+    paths = [p for d in (package, root / "tests", root / "demos") for p in sorted(d.glob("*.py"))]
+    assert len(paths) > 15
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = node.module
+            if node.level:  # the package is flat: `from . import` or `from .x import`
+                source = f"cowsec.{node.module}" if node.module else "cowsec"
+            if source in modules:
+                where = path.relative_to(root).as_posix()
+                wrong += [(where, source, a.name) for a in node.names if not defines(source, a.name)]
+    assert wrong == []
 
 
 def test_one_function_opens_files_and_it_translates_no_newlines():
