@@ -12,7 +12,6 @@ from cowsec.attacks import (
     bs_attack,
     critical_length,
     fully_insecure_length,
-    key_rate_margin,
 )
 from cowsec.core import ProtocolParams, channel_point
 
@@ -39,7 +38,7 @@ def describe(params: ProtocolParams, length_km: float) -> None:
             f"                     I_AE = {act.i_ae:.4f} bit -> critical QBER "
             f"{act.qber_critical:.4f}"
         )
-    print(f"    key-rate margin left to Alice and Bob: {key_rate_margin(params, length_km):.4f} bit/pulse")
+    print(f"    key-rate margin left to Alice and Bob: {act.margin:.4f} bit/pulse")
     print()
 
 

@@ -57,7 +57,9 @@ class ActiveAttackPlan(NamedTuple):
     mu_e is the diverted intensity, mu_b_prime the intensity forwarded to
     Bob over the lossless line. block_fraction b is the share of
     information pulses Eve suppresses, capped at her inconclusive
-    probability on them, 1 - p_conc_inf.
+    probability on them, 1 - p_conc_inf. p_lossy_click, Bob's click
+    probability 1 - exp(-mu_b) over the lossy line, is the rate b
+    balances and the capacity the key-rate margin is taken from.
     """
 
     mu_e: float
@@ -65,16 +67,20 @@ class ActiveAttackPlan(NamedTuple):
     block_fraction: float
     p_conc_inf: float
     p_conc_cont: float
-    p_conc_total: float
+    p_lossy_click: float
 
 
 class AttackReport(NamedTuple):
-    """Outcome of one attack analysis at one channel point."""
+    """Outcome of one attack analysis at one channel point.
+
+    Only the active report has a plan and a margin, key_rate_margin's; the passive one's is NaN.
+    """
 
     i_ae: float
     qber_critical: float
     fully_insecure: bool
     plan: Optional[ActiveAttackPlan] = None
+    margin: float = math.nan
 
 
 class OptimalIntensity(NamedTuple):
@@ -100,7 +106,8 @@ def _report(i_ae: float, plan: Optional[ActiveAttackPlan] = None) -> AttackRepor
     """Critical QBER where Bob's 1 - h2(Q) falls to Eve's i_ae; zero once she knows everything."""
     insecure = _fully_insecure(i_ae)
     qber = 0.0 if insecure else binary_entropy_inverse(1.0 - i_ae)
-    return AttackReport(i_ae, qber, insecure, plan)
+    margin = math.nan if plan is None else _margin(plan, i_ae)
+    return AttackReport(i_ae, qber, insecure, plan, margin)
 
 
 def _fully_insecure(i_ae: float) -> bool:
@@ -141,21 +148,20 @@ def active_plan(
             f"{point.mu_e_max} at {length_km} km"
         )
     mu_e = min(mu_e, point.mu_e_max)
+    p_lossy_click = -math.expm1(-point.mu_b)
     if mu_e == point.mu_e_max:
         mu_b_prime, raw_b = point.mu_b, 0.0
     else:
         mu_b_prime = params.mu - mu_e
-        raw_b = 1.0 - (-math.expm1(-point.mu_b)) / (-math.expm1(-mu_b_prime))
+        raw_b = 1.0 - p_lossy_click / (-math.expm1(-mu_b_prime))
 
     p_conc_inf = -math.expm1(-mu_e)
     # Decoys occupy both slots, so Eve's conclusive probability on them is
     # that of two independent threshold detections: 1 - exp(-2*mu_e).
     p_conc_cont = -math.expm1(-2.0 * mu_e)
-    f = params.decoy_fraction
-    p_conc_total = (1.0 - f) * p_conc_inf + f * p_conc_cont
 
     b = max(0.0, min(raw_b, 1.0 - p_conc_inf))
-    return ActiveAttackPlan(mu_e, mu_b_prime, b, p_conc_inf, p_conc_cont, p_conc_total)
+    return ActiveAttackPlan(mu_e, mu_b_prime, b, p_conc_inf, p_conc_cont, p_lossy_click)
 
 
 def active_eve_info(plan: ActiveAttackPlan) -> float:
@@ -225,23 +231,25 @@ def key_rate_margin(params: ProtocolParams, length_km: float) -> float:
     """Secret bits per sent pulse left to Alice and Bob under the active attack.
 
     Bob's information is the erasure-channel capacity 1 - exp(-mu_b) per
-    pulse; Eve's share of it is active_eve_info at her optimal plan,
-    active_plan(params, length_km). The margin (1 - exp(-mu_b)) * (1 - i_ae)
-    is zero exactly in the fully insecure regime.
+    pulse, the plan's p_lossy_click; Eve's share of it is active_eve_info
+    at her optimal plan, active_plan(params, length_km). The margin
+    (1 - exp(-mu_b)) * (1 - i_ae) is zero exactly in the fully insecure
+    regime. It equals active_attack(params, length_km).margin bit for bit,
+    without the critical QBER's entropy inverse.
     """
-    mu_b = attenuate(params.mu, params.delta, length_km)
-    return _margin(mu_b, active_eve_info(active_plan(params, length_km)))
+    plan = active_plan(params, length_km)
+    return _margin(plan, active_eve_info(plan))
 
 
-def _margin(mu_b: float, i_ae: float) -> float:
-    """Bob's erasure-channel capacity 1 - exp(-mu_b) less Eve's share i_ae of it.
+def _margin(plan: ActiveAttackPlan, i_ae: float) -> float:
+    """Bob's erasure-channel capacity, the plan's p_lossy_click, less Eve's share i_ae of it.
 
     Zero wherever _report calls the point fully insecure, so that the
     margin and the fully-insecure flag never disagree.
     """
     if _fully_insecure(i_ae):
         return 0.0
-    return -math.expm1(-mu_b) * (1.0 - i_ae)
+    return plan.p_lossy_click * (1.0 - i_ae)
 
 
 def optimal_source_intensity(delta: float, length_km: float) -> OptimalIntensity:

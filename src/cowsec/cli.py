@@ -22,7 +22,6 @@ No command loads dataclasses: every record is a typing.NamedTuple.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Any, Dict, Optional, Sequence, Tuple
 
@@ -44,12 +43,9 @@ _WORKERS_HELP = "accepted and ignored; rows are computed serially"
 
 def _parse_mu_list(text: str) -> Tuple[float, ...]:
     try:
-        values = tuple(float(part) for part in text.split(","))
+        return tuple(float(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse intensity list {text!r}") from None
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"--mu values must be finite, got {text!r}")
-    return values
 
 
 def _parse_range(text: str) -> Tuple[float, float, float]:
@@ -63,8 +59,6 @@ def _parse_range(text: str) -> Tuple[float, float, float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise ValueError(f"cannot parse length range {text!r}") from None
-    if not all(map(math.isfinite, (lo, hi, step))):
-        raise ValueError(f"--length bounds and step must be finite, got {text!r}")
     length_grid(lo, hi, step)
     return lo, hi, step
 

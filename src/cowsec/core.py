@@ -63,7 +63,6 @@ class ChannelPoint(NamedTuple):
     lossless line (mu_b + mu_e_max = mu).
     """
 
-    length_km: float
     mu_b: float
     mu_e_max: float
 
@@ -71,7 +70,7 @@ class ChannelPoint(NamedTuple):
 def channel_point(params: ProtocolParams, length_km: float) -> ChannelPoint:
     """Derive Bob's intensity and the divertable budget at a given length."""
     mu_b = attenuate(params.mu, params.delta, length_km)
-    return ChannelPoint(length_km, mu_b, params.mu - mu_b)
+    return ChannelPoint(mu_b, params.mu - mu_b)
 
 
 def attenuate(mu: float, delta: float, length_km: float) -> float:

@@ -157,7 +157,7 @@ class ClassTally(NamedTuple):
         return self.sent - self.bob_click, self.bob_single_click, self.bob_double_click
 
 
-def rate_with_error(count: int, total: int) -> Tuple[float, float]:
+def _rate_with_error(count: int, total: int) -> Tuple[float, float]:
     """Empirical rate and its binomial standard error."""
     if total <= 0:
         return math.nan, math.nan
@@ -166,18 +166,14 @@ def rate_with_error(count: int, total: int) -> Tuple[float, float]:
 
 
 class TrialStats(NamedTuple):
-    """Tallies of one simulated run."""
+    """Tallies of one simulated run, per pulse class; their sent counts sum to the pulses run."""
 
-    n_pulses: int
-    seed: int
     bit0: ClassTally = ClassTally()
     bit1: ClassTally = ClassTally()
     decoy: ClassTally = ClassTally()
 
     def classes(self) -> Iterator[Tuple[str, ClassTally]]:
-        yield "bit0", self.bit0
-        yield "bit1", self.bit1
-        yield "decoy", self.decoy
+        return zip(self._fields, self)
 
     @property
     def info(self) -> ClassTally:
@@ -292,8 +288,7 @@ def _simulate(
             counts[5] += _count(clicked, info, bit0, scratch)
         words[0] += step  # exact: the counters wrap mod 2**64
     tallies = (counts[:, 2], counts[:, 1] - counts[:, 2], counts[:, 0] - counts[:, 1])
-    bit0, bit1, decoy = (ClassTally(*map(int, column)) for column in tallies)
-    return TrialStats(n_pulses=n_pulses, seed=seed & _MASK64, bit0=bit0, bit1=bit1, decoy=decoy)
+    return TrialStats(*(ClassTally(*map(int, column)) for column in tallies))
 
 
 def simulate_no_attack(
@@ -388,8 +383,6 @@ class PatternRow(NamedTuple):
 class DistortionReport(NamedTuple):
     """Bob-side detection-pattern statistics, attacked vs unattacked."""
 
-    n_pulses: int
-    seed: int
     rows: Tuple[PatternRow, ...]
     plan: ActiveAttackPlan  # the attack whose expected cells the rows hold
 
@@ -422,8 +415,7 @@ def decoy_distortion(
     """
     attacked, baseline = _stream_pair(params, length_km, n_pulses, seed, mu_e)
     plan = active_plan(params, length_km, mu_e)
-    p_no = -math.expm1(-channel_point(params, length_km).mu_b)
-    expect_no = _pattern_probabilities(p_no, 0.0, 0.0)
+    expect_no = _pattern_probabilities(plan.p_lossy_click, 0.0, 0.0)
     # Eve blocks inconclusive pulses at beta and finds decoys inconclusive
     # less often: b on information pulses, exp(-2 mu_e) * beta on decoys.
     expect_att = _pattern_probabilities(
@@ -441,8 +433,8 @@ def decoy_distortion(
             _PATTERNS, expect_no[name], expect_att[name], att_tally.patterns, base_tally.patterns
         )
         for pattern, e_no, e_att, att_count, base_count in cells:
-            obs_att, se_att = rate_with_error(att_count, att_tally.sent)
-            obs_no, se_no = rate_with_error(base_count, base_tally.sent)
+            obs_att, se_att = _rate_with_error(att_count, att_tally.sent)
+            obs_no, se_no = _rate_with_error(base_count, base_tally.sent)
             se_model = _binomial_se(e_att, att_tally.sent)
             flagged = se_model > 0 and abs(e_att - e_no) > 5.0 * se_model
             if se_model > 0:
@@ -454,4 +446,4 @@ def decoy_distortion(
             rows.append(
                 PatternRow(name, pattern, e_no, e_att, obs_no, se_no, obs_att, se_att, z, flagged)
             )
-    return DistortionReport(n_pulses=n_pulses, seed=seed & _MASK64, rows=tuple(rows), plan=plan)
+    return DistortionReport(tuple(rows), plan)

@@ -20,8 +20,8 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__
-from .attacks import _margin, active_attack, active_eve_info, bs_attack, optimal_source_intensity
-from .core import ProtocolParams, _binomial_se, attenuate
+from .attacks import active_attack, active_eve_info, bs_attack, optimal_source_intensity
+from .core import ProtocolParams, _binomial_se
 
 if TYPE_CHECKING:  # the simulator pulls in numpy; only validation runs need it
     from .montecarlo import DistortionReport
@@ -120,7 +120,7 @@ def _qber_row(params: ProtocolParams, length_km: float, attacks: Sequence[str]) 
         plan.mu_e,
         plan.block_fraction,
         report.fully_insecure,
-        _margin(attenuate(params.mu, params.delta, length_km), report.i_ae),
+        report.margin,
     )
 
 
@@ -162,8 +162,8 @@ def sweep_qber_curves(
 
 
 def _optimal_row(delta: float, f: float, length_km: float) -> SweepRow:
-    # _qber_row's margin runs the same operations as key_rate_margin, so it
-    # equals optimal_source_intensity's margin bit for bit.
+    # _qber_row's margin is the active report's, computed as key_rate_margin
+    # computes it, so it equals optimal_source_intensity's margin bit for bit.
     mu = optimal_source_intensity(delta, length_km).mu
     return _qber_row(ProtocolParams(mu, f, delta), length_km, _ATTACK_NAMES)._replace(mu_opt=mu)
 

@@ -136,10 +136,38 @@ def test_active_plan_decoy_conclusive_matches_two_term_form():
         assert plan.p_conc_cont == pytest.approx(two_term, abs=1e-15)
 
 
-def test_active_plan_total_conclusive_is_decoy_weighted():
-    plan = active_plan(params(0.5, f=0.25), 20.0, 0.2)
-    expected = 0.75 * plan.p_conc_inf + 0.25 * plan.p_conc_cont
-    assert plan.p_conc_total == pytest.approx(expected, abs=1e-15)
+@pytest.mark.parametrize(
+    "mu, length, regime",
+    [
+        (0.5, 5.0, "full_budget"),
+        (0.5, 40.0, "blocking"),
+        (0.5, 60.0, "cap"),
+        (0.05, 95.68961614815218, "fully_insecure_below_cap"),
+        (0.5, 20000.0, "underflow"),
+    ],
+)
+def test_active_report_carries_the_margin_and_the_plan_bobs_lossy_click(mu, length, regime):
+    p = params(mu)
+    point = channel_point(p, length)
+    report = active_attack(p, length)
+    plan = report.plan
+    assert plan.p_lossy_click.hex() == (-math.expm1(-point.mu_b)).hex()
+    assert report.margin.hex() == key_rate_margin(p, length).hex()
+    assert math.isnan(bs_attack(p, length).margin)
+    at_cap = plan.block_fraction == 1.0 - plan.p_conc_inf
+    if regime == "full_budget":
+        assert plan.mu_e == point.mu_e_max and plan.block_fraction == 0.0
+        assert report.margin == plan.p_lossy_click * (1.0 - report.i_ae) > 0.0
+    elif regime == "blocking":
+        assert 0.0 < plan.block_fraction and not at_cap and report.margin > 0.0
+    elif regime == "cap":
+        assert at_cap and report.i_ae == 1.0 and report.margin == 0.0
+    elif regime == "fully_insecure_below_cap":
+        assert not at_cap and report.i_ae < 1.0 and report.fully_insecure
+        assert report.margin == 0.0
+    else:  # T underflows, so Bob expects nothing and Eve knows every delivered bit
+        assert point.mu_b == plan.p_lossy_click == 0.0
+        assert at_cap and report.margin == 0.0
 
 
 @pytest.mark.parametrize("length", [5.0, 10.0, 40.0, 500.0, 800.0, 1000.0, 20000.0])
@@ -213,7 +241,7 @@ def test_eve_info_monotone_in_block_fraction():
             block_fraction=b,
             p_conc_inf=base.p_conc_inf,
             p_conc_cont=base.p_conc_cont,
-            p_conc_total=base.p_conc_total,
+            p_lossy_click=base.p_lossy_click,
         )
         infos.append(active_eve_info(plan))
     assert all(i <= 1.0 for i in infos)
@@ -473,7 +501,12 @@ def test_margin_vanishes_when_fully_insecure():
 def test_margin_is_zero_exactly_when_fully_insecure(mu, k):
     p = params(mu)
     length = fully_insecure_length(p) * (1.0 + k * 2.0**-52)
-    assert (key_rate_margin(p, length) == 0.0) == active_attack(p, length).fully_insecure
+    report = active_attack(p, length)
+    margin = key_rate_margin(p, length)
+    assert (margin == 0.0) == report.fully_insecure
+    assert report.margin.hex() == margin.hex()
+    assert report.plan.p_lossy_click.hex() == (-math.expm1(-channel_point(p, length).mu_b)).hex()
+    assert math.isnan(bs_attack(p, length).margin)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

@@ -184,6 +184,10 @@ def test_fresh_process_prints_the_oracle_text(argv, monkeypatch, capsys):
         (["qber-curves", "--length", "0:10:0", "--mu", "x"], "needs a positive step"),
         (["qber-curves", "--length", "5:1:1", "--mu", "x"], "ends below its start"),
         (["qber-curves", "--length", "0:10:5", "--mu", "x"], "cannot parse intensity list 'x'"),
+        (["qber-curves", "--length", "0:inf:1", "--mu", "x"], "must be finite"),
+        # ProtocolParams checks every intensity before the first row
+        (["qber-curves", "--length", "0:10:5", "--mu", "nan"], "source intensity"),
+        (["qber-curves", "--length", "0:10:5", "--mu", "inf"], "source intensity"),
     ],
 )
 def test_a_bad_length_grid_is_reported_before_a_bad_mu(argv, message, tmp_path, capsys):
@@ -193,7 +197,7 @@ def test_a_bad_length_grid_is_reported_before_a_bad_mu(argv, message, tmp_path, 
 
 
 def test_optimal_intensity_tables_differ_only_in_the_decoy_fraction(tmp_path):
-    # decoys change Eve's total conclusive rate but no column of the table;
+    # the decoy fraction enters the simulator's class mix but no column of the table;
     # 0:1000:10 runs from the search bound through blocking to degenerate rows
     tables = []
     for f in ("0", "0.5"):

@@ -225,7 +225,7 @@ def test_channel_point_invariants(mu, length):
 def test_channel_point_fields():
     # exponent is exactly -1, so the budget is exactly 0.45
     point = channel_point(ProtocolParams(mu=0.5, delta=0.2), 50.0)
-    assert point == ChannelPoint(length_km=50.0, mu_b=0.05, mu_e_max=0.45)
+    assert point == ChannelPoint(mu_b=0.05, mu_e_max=0.45)
 
 
 @pytest.mark.parametrize(

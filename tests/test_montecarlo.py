@@ -52,9 +52,12 @@ def assert_within_4_sigma(count, total, expected, label=""):
 
 def merged(*runs):
     """The tallies of disjoint pulse ranges of one seed, added class by class."""
-    assert len({run.seed for run in runs}) == 1
-    classes = (sum(tallies, ClassTally()) for tallies in zip(*(run[2:] for run in runs)))
-    return TrialStats(sum(run.n_pulses for run in runs), runs[0].seed, *classes)
+    return TrialStats(*(sum(tallies, ClassTally()) for tallies in zip(*runs)))
+
+
+def pulses(stats):
+    """The pulses a run simulated: its three classes' sent counts."""
+    return sum(tally.sent for tally in stats)
 
 
 def policy_expectations(p: ProtocolParams, length_km: float, plan):
@@ -176,11 +179,13 @@ def test_partition_independence():
         for start, n in ((0, 77_777), (77_777, 150_000), (227_777, 72_223))
     ]
     assert merged(*parts) == whole
+    assert [pulses(part) for part in parts] == [77_777, 150_000, 72_223]
 
     whole_base = simulate_no_attack(p, 20.0, 300_000, SEED)
     half1 = simulate_no_attack(p, 20.0, 150_001, SEED)
     half2 = simulate_no_attack(p, 20.0, 149_999, SEED, first_pulse=150_001)
     assert merged(half1, half2) == whole_base
+    assert pulses(whole) == pulses(whole_base) == 300_000
 
 
 @pytest.mark.parametrize(
@@ -208,13 +213,9 @@ GOLDEN_SEED = 2**64 - 1
 
 
 def _golden(n, bit0, bit1, decoy):
-    return TrialStats(
-        n_pulses=n,
-        seed=GOLDEN_SEED,
-        bit0=ClassTally(*bit0),
-        bit1=ClassTally(*bit1),
-        decoy=ClassTally(*decoy),
-    )
+    stats = TrialStats(ClassTally(*bit0), ClassTally(*bit1), ClassTally(*decoy))
+    assert pulses(stats) == n
+    return stats
 
 
 def test_golden_counts_no_attack():
@@ -477,7 +478,7 @@ def test_plan_forwarding_above_the_source_is_rejected_at_tiny_intensity():
     # Every check on mu_e scales with mu: at mu = 1e-10 an absolute
     # tolerance of 1e-9 would let Eve divert, or forward, 3x the source.
     p = params(1e-10)
-    assert simulate_active_attack(p, 40.0, 1000, SEED).n_pulses == 1000
+    assert pulses(simulate_active_attack(p, 40.0, 1000, SEED)) == 1000
     for mu_e in (3e-10, -2e-10):  # the second forwards mu - mu_e = 3e-10
         with pytest.raises(ValueError, match="mu_e"):
             simulate_active_attack(p, 40.0, 1000, SEED, mu_e=mu_e)
@@ -510,7 +511,7 @@ def exp10(lo, hi):
 def test_simulator_accepts_every_plan_active_plan_builds(mu, f, delta, length, share):
     p = params(mu, f=f, delta=delta)
     mu_e = None if share is None else share * channel_point(p, length).mu_e_max
-    assert simulate_active_attack(p, length, 64, SEED, mu_e=mu_e).n_pulses == 64
+    assert pulses(simulate_active_attack(p, length, 64, SEED, mu_e=mu_e)) == 64
 
 
 def test_capped_plan_without_decoys_blocks_everything_inconclusive():
@@ -566,7 +567,7 @@ def test_distortion_flags_decoy_double_for_half_intensity_plan():
     assert ("decoy", "double") in flagged
     # empirical attack frequencies agree with the policy closed forms
     for row in report.rows:
-        n_class = round(report.n_pulses * (0.1 if row.pulse_class == "decoy" else 0.45))
+        n_class = round(N * (0.1 if row.pulse_class == "decoy" else 0.45))
         se = math.sqrt(max(row.expected_attack * (1 - row.expected_attack), 1e-12) / n_class)
         assert abs(row.observed_attack - row.expected_attack) <= 4.0 * se, row
 
@@ -619,5 +620,5 @@ def test_tallies_add_counts_rather_than_concatenating():
 
 def test_trial_stats_merge_adds_counts():
     # info merges the two information classes' tallies
-    stats = TrialStats(n_pulses=10, seed=1, bit0=ClassTally(sent=4), bit1=ClassTally(sent=2))
+    stats = TrialStats(bit0=ClassTally(sent=4), bit1=ClassTally(sent=2))
     assert stats.info == ClassTally(sent=6)

@@ -4,9 +4,11 @@ Each workload runs in process through cowsec.cli.main, as bench.worker runs
 it, and its outputs (the file an operation writes, else its stdout, read as
 text) are compared with what bench/reference holds. optimise_mu and
 validate_mc moved on purpose since the reference was recorded (the
-source-intensity optimiser became a stationarity root, and the simulator
-blocks information pulses at the plan's b), so their current SHA-256 is
-pinned here instead.
+source-intensity optimiser became a stationarity root, the simulator
+blocks information pulses at the plan's b, and the report's plan block
+lists Bob's lossy-line click probability p_lossy_click where it listed
+Eve's total conclusive rate), so their current SHA-256 is pinned here
+instead.
 """
 
 import hashlib
@@ -21,7 +23,7 @@ from bench import check, workloads
 
 PINNED_SHA256 = {
     "optimise_mu": "1ef6b85df95d8877edc3a63b4f8659692f71e024a52a68ba2cd13141a1ac73ab",
-    "validate_mc": "b1a5fd2fde15731681c1b20939300015c63dee262809c2198f656a5dde7b43ac",
+    "validate_mc": "7bd522f421e486f4bd752b22085d046a3b0729280fd44e2cadfc4a01357dbe5f",
 }
 
 
