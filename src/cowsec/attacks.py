@@ -28,7 +28,6 @@ from .core import (
 )
 
 __all__ = [
-    "FULLY_INSECURE_TOL",
     "ActiveAttackPlan",
     "AttackReport",
     "OptimalIntensity",
@@ -41,9 +40,6 @@ __all__ = [
     "key_rate_margin",
     "optimal_source_intensity",
 ]
-
-# Eve's information is treated as unity (no added errors needed) above this.
-FULLY_INSECURE_TOL = 1e-12
 
 # Upper bound on the source intensity. COW runs deep in the mu < 1 regime
 # and the key-rate margin decays for bright sources, so (0, 2] holds every
@@ -104,15 +100,10 @@ def bs_attack(params: ProtocolParams, length_km: float) -> AttackReport:
 
 def _report(i_ae: float, plan: Optional[ActiveAttackPlan] = None) -> AttackReport:
     """Critical QBER where Bob's 1 - h2(Q) falls to Eve's i_ae; zero once she knows everything."""
-    insecure = _fully_insecure(i_ae)
+    insecure = i_ae == 1.0
     qber = 0.0 if insecure else binary_entropy_inverse(1.0 - i_ae)
     margin = math.nan if plan is None else _margin(plan, i_ae)
     return AttackReport(i_ae, qber, insecure, plan, margin)
-
-
-def _fully_insecure(i_ae: float) -> bool:
-    """Eve's information counts as a whole bit: no added errors needed, no key left."""
-    return i_ae >= 1.0 - FULLY_INSECURE_TOL
 
 
 def active_plan(
@@ -167,16 +158,21 @@ def active_plan(
 def active_eve_info(plan: ActiveAttackPlan) -> float:
     """Eve's information per sifted bit under an active-attack plan.
 
-    She knows every bit on which her threshold measurement was conclusive;
-    blocking enriches the delivered stream in those bits, giving
-    p_conc_inf / (1 - b). Reaches exactly one when the blocking cap is
-    attained and every delivered bit is known to her.
+    She knows every delivered bit on which her measurement was conclusive:
+    a share p_conc_inf of Bob's bits without blocking, else K / C, her rate
+    K = p_conc_inf * (1 - exp(-mu_b_prime)) of known delivered bits over
+    Bob's click rate C = p_lossy_click. Exactly one from the blocking cap
+    on, where K >= C; neither rate is formed from 1 - b, which cancels.
     """
-    if plan.p_conc_inf == 0.0:
-        return 0.0
-    if plan.block_fraction >= 1.0 - plan.p_conc_inf:  # cap reached, exactly one bit
-        return 1.0
-    return plan.p_conc_inf / (1.0 - plan.block_fraction)
+    if plan.block_fraction == 0.0 or plan.p_conc_inf == 0.0:  # also where C underflows
+        return plan.p_conc_inf
+    known = _known_rate(plan)
+    return 1.0 if known >= plan.p_lossy_click else known / plan.p_lossy_click
+
+
+def _known_rate(plan: ActiveAttackPlan) -> float:
+    """K, the rate of bits Eve knows among those delivered unblocked at mu_b_prime."""
+    return plan.p_conc_inf * -math.expm1(-plan.mu_b_prime)
 
 
 def critical_length(delta: float) -> float:
@@ -230,26 +226,28 @@ def fully_insecure_length(params: ProtocolParams) -> float:
 def key_rate_margin(params: ProtocolParams, length_km: float) -> float:
     """Secret bits per sent pulse left to Alice and Bob under the active attack.
 
-    Bob's information is the erasure-channel capacity 1 - exp(-mu_b) per
-    pulse, the plan's p_lossy_click; Eve's share of it is active_eve_info
-    at her optimal plan, active_plan(params, length_km). The margin
-    (1 - exp(-mu_b)) * (1 - i_ae) is zero exactly in the fully insecure
-    regime. It equals active_attack(params, length_km).margin bit for bit,
-    without the critical QBER's entropy inverse.
+    Bob's information is the erasure-channel capacity C = 1 - exp(-mu_b),
+    the plan's p_lossy_click; Eve knows delivered bits at active_eve_info's
+    rate K at her optimal plan, active_plan(params, length_km). The margin
+    C - K is zero exactly where K >= C, and equals active_attack(params,
+    length_km).margin bit for bit, without the critical QBER's entropy inverse.
     """
     plan = active_plan(params, length_km)
     return _margin(plan, active_eve_info(plan))
 
 
 def _margin(plan: ActiveAttackPlan, i_ae: float) -> float:
-    """Bob's erasure-channel capacity, the plan's p_lossy_click, less Eve's share i_ae of it.
+    """Bob's click rate C, the plan's p_lossy_click, less the rate of bits Eve knows.
 
-    Zero wherever _report calls the point fully insecure, so that the
-    margin and the fully-insecure flag never disagree.
+    Zero where i_ae is one, which _report calls fully insecure; C * exp(-mu_e)
+    without blocking; else C - K, K as in active_eve_info. Neither is formed
+    from 1 - i_ae, so the margin is within a few eps of C.
     """
-    if _fully_insecure(i_ae):
+    if i_ae == 1.0:
         return 0.0
-    return plan.p_lossy_click * (1.0 - i_ae)
+    if plan.block_fraction == 0.0:
+        return plan.p_lossy_click * math.exp(-plan.mu_e)
+    return plan.p_lossy_click - _known_rate(plan)
 
 
 def optimal_source_intensity(delta: float, length_km: float) -> OptimalIntensity:

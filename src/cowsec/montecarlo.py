@@ -264,6 +264,8 @@ def _simulate(
         raise ValueError(f"first_pulse must be non-negative, got {first_pulse}")
     if first_pulse + n_pulses > _PULSE_PERIOD:
         raise ValueError(f"first_pulse + n_pulses = {first_pulse} + {n_pulses} exceeds 2**61")
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     size = min(_CHUNK, n_pulses)
     # once per run: fresh arrays per chunk page-fault in a process whose allocator is cold
     words, masks = _buffers(seed, first_pulse, size)

@@ -336,9 +336,9 @@ def run_montecarlo_validation(
     delivers, (1 - b)(1 - exp(-mu_b_prime)), Eve's conclusive rate, the
     blocked share of information pulses against the plan's b, and the
     empirical information proxy (share of Bob's sifted bits Eve knows)
-    against i_AE = p_conc_inf / (1 - b), each at the 4-sigma level, plus
-    the unattacked baseline rates. The delivered click rate equals the
-    lossy line's 1 - exp(-mu_b) wherever the plan balances the budget;
+    against active_eve_info's i_AE = K / C, each at the 4-sigma level,
+    plus the unattacked baseline rates. The delivered click rate equals the
+    lossy line's C = 1 - exp(-mu_b) wherever the plan balances the budget;
     beyond the fully-insecure length the capped plan cannot, and Bob sees
     fewer clicks than the lossy line would give. The plan, and so i_AE,
     is the attached decoy-distortion report's plan, and Bob's expected

@@ -196,6 +196,15 @@ def test_a_bad_length_grid_is_reported_before_a_bad_mu(argv, message, tmp_path, 
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("seed", ["-5", "18446744073709551616"])
+def test_validate_mc_rejects_a_seed_outside_64_bits(seed, tmp_path, capsys):
+    # -5 would otherwise write the report of seed 2**64 - 5, echoing -5
+    out = tmp_path / "r.json"
+    assert cli.main(["validate-mc", "--pulses", "1000", "--seed", seed, "--out", str(out)]) == 2
+    assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_optimal_intensity_tables_differ_only_in_the_decoy_fraction(tmp_path):
     # the decoy fraction enters the simulator's class mix but no column of the table;
     # 0:1000:10 runs from the search bound through blocking to degenerate rows

@@ -205,6 +205,18 @@ def test_simulators_reject_an_empty_or_negative_pulse_range(n_pulses, first_puls
         simulate_active_attack(p, 20.0, n_pulses, SEED, first_pulse=first_pulse)
 
 
+@pytest.mark.parametrize("seed", [-5, -1, 2**64, 2**64 + 5])
+def test_simulators_reject_a_seed_outside_64_bits(seed):
+    # -5 would wrap to 2**64 - 5 and silently repeat that seed's streams
+    p = params(0.2)
+    with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}"):
+        simulate_no_attack(p, 20.0, 10, seed)
+    with pytest.raises(ValueError, match="seed"):
+        simulate_active_attack(p, 20.0, 10, seed)
+    with pytest.raises(ValueError, match="seed"):
+        decoy_distortion(p, 20.0, 10, seed)
+
+
 # Exact counts: any change to the counter layout, the draw order, the
 # blocking probability or the tally shows up here. 2^20 + 3
 # pulses from index 5 cross a chunk boundary; seed 2^64 - 1 wraps the counter.
@@ -412,6 +424,80 @@ def test_tallies_do_not_depend_on_the_chunk_size(monkeypatch):
             )
         )
     assert runs[0] == runs[1] == runs[2]
+
+
+def scalar_simulate(f, p_bob, p_eve, beta, n, seed, first):
+    """Tallies of pulses [first, first + n), one pulse at a time, in Python ints and floats.
+
+    The pulse model as the module docstring states it, not the kernel's
+    integer thresholds: draw slot s of pulse i succeeds when the uniform
+    (z >> 11) * 2**-53 of z, SplitMix64 of seed + (8i + 1 + s) * golden, is
+    below p. The class draw picks bit0, bit1 or a decoy; Eve measures each
+    occupied slot and blocks if all were inconclusive; Bob measures each
+    occupied slot unless she blocked.
+    """
+
+    def draw(i, slot, p):
+        return (splitmix64_stream_seed(seed, 8 * i + slot) >> 11) * 2.0**-53 < p
+
+    counts = {name: [0] * len(ClassTally._fields) for name in TrialStats._fields}
+    for i in range(first, first + n):
+        if draw(i, 0, 0.5 * (1.0 - f)):
+            name, slots = "bit0", (0,)
+        elif draw(i, 0, 1.0 - f):
+            name, slots = "bit1", (1,)
+        else:
+            name, slots = "decoy", (0, 1)
+        eve = any(draw(i, 1 + s, p_eve) for s in slots)
+        blocked = not eve and draw(i, 3, beta)
+        clicks = 0 if blocked else sum(draw(i, 4 + s, p_bob) for s in slots)
+        outcome = (True, eve, blocked, clicks == 1, clicks == 2, eve and clicks > 0)
+        counts[name] = [c + hit for c, hit in zip(counts[name], outcome)]
+    return TrialStats(*(ClassTally(*counts[name]) for name in TrialStats._fields))
+
+
+# The kernel's branches: (params, length, mu_e) of an attacked run and its
+# lossy-line baseline.
+KERNEL_BRANCHES = {
+    "default": (params(0.2), 20.0, None),
+    "no-decoys": (params(0.2, f=0.0), 20.0, None),
+    "cap": (params(0.5), 60.0, None),
+    "blocking-without-eve": (params(0.2), 20.0, 0.0),
+    "full-budget": (params(0.2), 5.0, None),
+    "bright-half-decoys": (params(1.0, f=0.5), 40.0, None),
+}
+
+
+def scalar_streams(p, length, mu_e, n, seed, first):
+    """scalar_simulate's attacked and lossy-line tallies, with the simulators' probabilities."""
+    plan = active_plan(p, length, mu_e)
+    p_bob = -math.expm1(-plan.mu_b_prime)
+    p_lossy = -math.expm1(-channel_point(p, length).mu_b)
+    f, beta = p.decoy_fraction, blocking_probability(plan)
+    return (
+        scalar_simulate(f, p_bob, plan.p_conc_inf, beta, n, seed, first),
+        scalar_simulate(f, p_lossy, 0.0, 0.0, n, seed, first),
+    )
+
+
+@pytest.mark.parametrize("branch", KERNEL_BRANCHES)
+def test_tallies_match_the_scalar_pulse_model(branch):
+    # 4,096 pulses from pulse 2^16 - 1000, bit for bit, at three seeds
+    p, length, mu_e = KERNEL_BRANCHES[branch]
+    n, first = 4096, 2**16 - 1000
+    for seed in (2016, 0, 2**64 - 1):
+        attacked = simulate_active_attack(p, length, n, seed, first, mu_e)
+        lossy = simulate_no_attack(p, length, n, seed, first)
+        assert (attacked, lossy) == scalar_streams(p, length, mu_e, n, seed, first), seed
+
+
+def test_chunked_tallies_match_the_scalar_pulse_model(monkeypatch):
+    # five chunks of 1,000 pulses and a last one of 96
+    monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+    p, length, mu_e = KERNEL_BRANCHES["default"]
+    attacked = simulate_active_attack(p, length, 4096, 7, 2**16 - 1000)
+    lossy = simulate_no_attack(p, length, 4096, 7, 2**16 - 1000)
+    assert (attacked, lossy) == scalar_streams(p, length, mu_e, 4096, 7, 2**16 - 1000)
 
 
 def test_simulation_memory_stays_chunk_sized():

@@ -2,13 +2,16 @@
 
 Each workload runs in process through cowsec.cli.main, as bench.worker runs
 it, and its outputs (the file an operation writes, else its stdout, read as
-text) are compared with what bench/reference holds. optimise_mu and
-validate_mc moved on purpose since the reference was recorded (the
-source-intensity optimiser became a stationarity root, the simulator
-blocks information pulses at the plan's b, and the report's plan block
-lists Bob's lossy-line click probability p_lossy_click where it listed
-Eve's total conclusive rate), so their current SHA-256 is pinned here
-instead.
+text) are compared with what bench/reference holds. Three workloads moved
+on purpose since the reference was recorded, so their current SHA-256 is
+pinned here instead. optimise_mu moved when the source-intensity optimiser
+became a stationarity root, and validate_mc when the simulator began
+blocking information pulses at the plan's b and its report listed Bob's
+lossy-line click probability p_lossy_click. All three moved, sweep_grid
+for the first time, when Eve's information and the key-rate margin came to
+be taken from two rates, her known-and-delivered rate K and Bob's click
+rate C, instead of from 1 - b; that moved i_ae_active, margin and
+qber_active by up to a few thousand ulp.
 """
 
 import hashlib
@@ -22,8 +25,9 @@ import cowsec.cli as cli
 from bench import check, workloads
 
 PINNED_SHA256 = {
-    "optimise_mu": "1ef6b85df95d8877edc3a63b4f8659692f71e024a52a68ba2cd13141a1ac73ab",
-    "validate_mc": "7bd522f421e486f4bd752b22085d046a3b0729280fd44e2cadfc4a01357dbe5f",
+    "optimise_mu": "5d3ca726a1f34b7d4c7a4c69bbf48191461ca959ba86830680b4cb8cf28b8d47",
+    "sweep_grid": "3e4c747cd59a9c2b40f5e9c13e73dd279834792f939800a2a00356a67f0bdaaf",
+    "validate_mc": "d15194a8828efcdddf9caf64af79d32249dec11cf4055572fda9705950e1299e",
 }
 
 
@@ -40,15 +44,6 @@ def workload_texts(name, out_dir):
 
 def sha256(texts):
     return hashlib.sha256("".join(texts).encode()).hexdigest()
-
-
-def test_sweep_grid_matches_the_reference_per_operation(tmp_path):
-    texts = workload_texts("sweep_grid", tmp_path)
-    reference = check.reference_texts("sweep_grid")
-    assert len(texts) == len(reference)
-    for i, (text, expected) in enumerate(zip(texts, reference)):
-        assert text == expected, f"operation {i} differs from the reference"
-    assert sha256(texts) == check.reference_digest("sweep_grid")
 
 
 def test_point_reports_match_the_reference_digest(tmp_path):

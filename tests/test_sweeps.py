@@ -217,21 +217,6 @@ def test_cli_rejects_huge_grid_without_allocating(command, tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_qber_row_margin_is_zero_inside_the_fully_insecure_band(tmp_path):
-    # just below the fully-insecure length at mu 0.05 the active report is
-    # fully insecure while 1 - i_ae is still a few 1e-13; the margin must be 0
-    out = tmp_path / "band.csv"
-    length = "95.68961614815218"
-    assert cli.main(
-        ["qber-curves", "--mu", "0.05", "--length", f"{length}:{length}:1", "--out", str(out)]
-    ) == 0
-    _, rows = read_csv_table(str(out))
-    assert len(rows) == 1
-    assert rows[0].fully_insecure
-    assert rows[0].i_ae_active < 1.0
-    assert rows[0].margin == 0.0
-
-
 # ---------------------------------------------------------------------------
 # qber curves
 
@@ -758,7 +743,7 @@ def test_cli_validate_mc_is_byte_identical(tmp_path):
 
 
 # SHA-256 of each exit code as text, then each report's bytes, over the grid below.
-VALIDATION_GRID_SHA256 = "92ed5339ca241d9646cdd210b67047cd26210a9fe6237e0f3d697faa6242022a"
+VALIDATION_GRID_SHA256 = "817593148f0fbf02149b601d03356ceefaa4e435af168105c3a845b8017537eb"
 
 
 def test_cli_validate_mc_bytes_across_regimes(tmp_path):
