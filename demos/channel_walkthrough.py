@@ -38,7 +38,7 @@ def describe(params: ProtocolParams, length_km: float) -> None:
             f"                     I_AE = {act.i_ae:.4f} bit -> critical QBER "
             f"{act.qber_critical:.4f}"
         )
-    print(f"    key-rate margin left to Alice and Bob: {act.margin:.4f} bit/pulse")
+    print(f"    key-rate margin left to Alice and Bob: {plan.margin:.4f} bit/pulse")
     print()
 
 

@@ -18,9 +18,9 @@ def main() -> None:
     params = ProtocolParams(mu=0.2, decoy_fraction=0.1, delta=0.2)
     report = run_montecarlo_validation(params, length_km=20.0, n_pulses=1_000_000, seed=seed)
 
-    plan = report.plan
-    print(f"seed {seed}: Eve diverts {plan['mu_e']:g}, blocks {plan['block_fraction']:.4f}, "
-          f"knows {plan['i_ae']:.4f} bit per sifted bit")
+    plan = report.distortion.plan
+    print(f"seed {seed}: Eve diverts {plan.mu_e:g}, blocks {plan.block_fraction:.4f}, "
+          f"knows {plan.i_ae:.4f} bit per sifted bit")
     print()
     print(" check                              observed    expected        z")
     for c in report.checks:

@@ -33,7 +33,6 @@ __all__ = [
     "OptimalIntensity",
     "bs_attack",
     "active_plan",
-    "active_eve_info",
     "critical_length",
     "active_attack",
     "fully_insecure_length",
@@ -48,14 +47,15 @@ MU_SEARCH_MAX = 2.0
 
 
 class ActiveAttackPlan(NamedTuple):
-    """Eve's parameter choice for the active beam-splitting attack.
+    """Eve's parameter choice for the active beam-splitting attack, and what it leaves.
 
     mu_e is the diverted intensity, mu_b_prime the intensity forwarded to
     Bob over the lossless line. block_fraction b is the share of
     information pulses Eve suppresses, capped at her inconclusive
     probability on them, 1 - p_conc_inf. p_lossy_click, Bob's click
     probability 1 - exp(-mu_b) over the lossy line, is the rate b
-    balances and the capacity the key-rate margin is taken from.
+    balances. i_ae, Eve's information per sifted bit, and margin, the
+    secret bits per sent pulse left to Alice and Bob, come from these rates.
     """
 
     mu_e: float
@@ -64,19 +64,17 @@ class ActiveAttackPlan(NamedTuple):
     p_conc_inf: float
     p_conc_cont: float
     p_lossy_click: float
+    i_ae: float
+    margin: float
 
 
 class AttackReport(NamedTuple):
-    """Outcome of one attack analysis at one channel point.
-
-    Only the active report has a plan and a margin, key_rate_margin's; the passive one's is NaN.
-    """
+    """Outcome of one attack analysis at one channel point; only the active one has a plan."""
 
     i_ae: float
     qber_critical: float
     fully_insecure: bool
     plan: Optional[ActiveAttackPlan] = None
-    margin: float = math.nan
 
 
 class OptimalIntensity(NamedTuple):
@@ -102,8 +100,7 @@ def _report(i_ae: float, plan: Optional[ActiveAttackPlan] = None) -> AttackRepor
     """Critical QBER where Bob's 1 - h2(Q) falls to Eve's i_ae; zero once she knows everything."""
     insecure = i_ae == 1.0
     qber = 0.0 if insecure else binary_entropy_inverse(1.0 - i_ae)
-    margin = math.nan if plan is None else _margin(plan, i_ae)
-    return AttackReport(i_ae, qber, insecure, plan, margin)
+    return AttackReport(i_ae, qber, insecure, plan)
 
 
 def active_plan(
@@ -127,6 +124,11 @@ def active_plan(
     1e-12 * mu is rejected; within that it is the full budget, where Eve
     forwards mu_b itself and blocks nothing, as in the exact model
     (mu - mu_e_max cancels once mu_b / mu nears machine epsilon).
+
+    Eve knows the delivered bits her measurement resolved: without blocking
+    i_ae = p_conc_inf and the margin is C * exp(-mu_e), C = p_lossy_click;
+    with it, at her rate K = p_conc_inf * (1 - exp(-mu_b_prime)), i_ae = K / C
+    and the margin C - K, or one and zero where K >= C (from the cap on).
     """
     point = channel_point(params, length_km)
     if mu_e is None:
@@ -140,39 +142,27 @@ def active_plan(
         )
     mu_e = min(mu_e, point.mu_e_max)
     p_lossy_click = -math.expm1(-point.mu_b)
-    if mu_e == point.mu_e_max:
-        mu_b_prime, raw_b = point.mu_b, 0.0
-    else:
-        mu_b_prime = params.mu - mu_e
-        raw_b = 1.0 - p_lossy_click / (-math.expm1(-mu_b_prime))
-
     p_conc_inf = -math.expm1(-mu_e)
     # Decoys occupy both slots, so Eve's conclusive probability on them is
     # that of two independent threshold detections: 1 - exp(-2*mu_e).
     p_conc_cont = -math.expm1(-2.0 * mu_e)
+    if mu_e == point.mu_e_max:
+        mu_b_prime, b = point.mu_b, 0.0
+    else:
+        mu_b_prime = params.mu - mu_e
+        p_fwd = -math.expm1(-mu_b_prime)
+        b = max(0.0, min(1.0 - p_lossy_click / p_fwd, 1.0 - p_conc_inf))
 
-    b = max(0.0, min(raw_b, 1.0 - p_conc_inf))
-    return ActiveAttackPlan(mu_e, mu_b_prime, b, p_conc_inf, p_conc_cont, p_lossy_click)
-
-
-def active_eve_info(plan: ActiveAttackPlan) -> float:
-    """Eve's information per sifted bit under an active-attack plan.
-
-    She knows every delivered bit on which her measurement was conclusive:
-    a share p_conc_inf of Bob's bits without blocking, else K / C, her rate
-    K = p_conc_inf * (1 - exp(-mu_b_prime)) of known delivered bits over
-    Bob's click rate C = p_lossy_click. Exactly one from the blocking cap
-    on, where K >= C; neither rate is formed from 1 - b, which cancels.
-    """
-    if plan.block_fraction == 0.0 or plan.p_conc_inf == 0.0:  # also where C underflows
-        return plan.p_conc_inf
-    known = _known_rate(plan)
-    return 1.0 if known >= plan.p_lossy_click else known / plan.p_lossy_click
-
-
-def _known_rate(plan: ActiveAttackPlan) -> float:
-    """K, the rate of bits Eve knows among those delivered unblocked at mu_b_prime."""
-    return plan.p_conc_inf * -math.expm1(-plan.mu_b_prime)
+    if b == 0.0 or p_conc_inf == 0.0:  # also where C underflows
+        i_ae = p_conc_inf
+        margin = 0.0 if i_ae == 1.0 else p_lossy_click * math.exp(-mu_e)
+    else:
+        known = p_conc_inf * p_fwd
+        if known >= p_lossy_click:
+            i_ae, margin = 1.0, 0.0
+        else:
+            i_ae, margin = known / p_lossy_click, p_lossy_click - known
+    return ActiveAttackPlan(mu_e, mu_b_prime, b, p_conc_inf, p_conc_cont, p_lossy_click, i_ae, margin)
 
 
 def critical_length(delta: float) -> float:
@@ -182,15 +172,15 @@ def critical_length(delta: float) -> float:
     (about 3.01/delta km). Past this point blocking becomes worthwhile
     for Eve.
     """
-    if not delta > 0:
-        raise ValueError(f"attenuation coefficient must be positive, got {delta}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"attenuation coefficient must be positive and finite, got {delta}")
     return 10.0 * math.log10(2.0) / delta
 
 
 def active_attack(params: ProtocolParams, length_km: float) -> AttackReport:
     """Active beam-splitting attack at Eve's optimal plan, active_plan(params, length_km)."""
     plan = active_plan(params, length_km)
-    return _report(active_eve_info(plan), plan)
+    return _report(plan.i_ae, plan)
 
 
 def fully_insecure_length(params: ProtocolParams) -> float:
@@ -226,28 +216,12 @@ def fully_insecure_length(params: ProtocolParams) -> float:
 def key_rate_margin(params: ProtocolParams, length_km: float) -> float:
     """Secret bits per sent pulse left to Alice and Bob under the active attack.
 
-    Bob's information is the erasure-channel capacity C = 1 - exp(-mu_b),
-    the plan's p_lossy_click; Eve knows delivered bits at active_eve_info's
-    rate K at her optimal plan, active_plan(params, length_km). The margin
-    C - K is zero exactly where K >= C, and equals active_attack(params,
-    length_km).margin bit for bit, without the critical QBER's entropy inverse.
+    The margin of Eve's optimal plan, active_plan(params, length_km): Bob's
+    erasure-channel capacity C = 1 - exp(-mu_b) less Eve's rate K of known
+    delivered bits, zero exactly where the point is fully insecure, without
+    the critical QBER's entropy inverse.
     """
-    plan = active_plan(params, length_km)
-    return _margin(plan, active_eve_info(plan))
-
-
-def _margin(plan: ActiveAttackPlan, i_ae: float) -> float:
-    """Bob's click rate C, the plan's p_lossy_click, less the rate of bits Eve knows.
-
-    Zero where i_ae is one, which _report calls fully insecure; C * exp(-mu_e)
-    without blocking; else C - K, K as in active_eve_info. Neither is formed
-    from 1 - i_ae, so the margin is within a few eps of C.
-    """
-    if i_ae == 1.0:
-        return 0.0
-    if plan.block_fraction == 0.0:
-        return plan.p_lossy_click * math.exp(-plan.mu_e)
-    return plan.p_lossy_click - _known_rate(plan)
+    return active_plan(params, length_km).margin
 
 
 def optimal_source_intensity(delta: float, length_km: float) -> OptimalIntensity:

@@ -20,7 +20,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__
-from .attacks import active_attack, active_eve_info, bs_attack, optimal_source_intensity
+from .attacks import active_attack, bs_attack, optimal_source_intensity
 from .core import ProtocolParams, _binomial_se
 
 if TYPE_CHECKING:  # the simulator pulls in numpy; only validation runs need it
@@ -120,7 +120,7 @@ def _qber_row(params: ProtocolParams, length_km: float, attacks: Sequence[str]) 
         plan.mu_e,
         plan.block_fraction,
         report.fully_insecure,
-        report.margin,
+        plan.margin,
     )
 
 
@@ -162,8 +162,8 @@ def sweep_qber_curves(
 
 
 def _optimal_row(delta: float, f: float, length_km: float) -> SweepRow:
-    # _qber_row's margin is the active report's, computed as key_rate_margin
-    # computes it, so it equals optimal_source_intensity's margin bit for bit.
+    # _qber_row's margin is the plan's, which key_rate_margin returns too, so
+    # it equals optimal_source_intensity's margin bit for bit.
     mu = optimal_source_intensity(delta, length_km).mu
     return _qber_row(ProtocolParams(mu, f, delta), length_km, _ATTACK_NAMES)._replace(mu_opt=mu)
 
@@ -276,7 +276,6 @@ class ValidationReport(NamedTuple):
     """Cross-validation of the simulator against the closed-form rates."""
 
     config: Dict[str, object]
-    plan: Dict[str, float]
     checks: Tuple[CheckResult, ...]
     distortion: DistortionReport
 
@@ -299,7 +298,7 @@ class ValidationReport(NamedTuple):
         return {
             "tool": {"name": "cowsec", "version": __version__},
             "config": self.config,
-            "plan": self.plan,
+            "plan": {k: v for k, v in self.distortion.plan._asdict().items() if k != "margin"},
             "checks": [c._asdict() for c in self.checks],
             "distortion": {
                 "rows": [r._asdict() for r in self.distortion.rows],
@@ -336,20 +335,19 @@ def run_montecarlo_validation(
     delivers, (1 - b)(1 - exp(-mu_b_prime)), Eve's conclusive rate, the
     blocked share of information pulses against the plan's b, and the
     empirical information proxy (share of Bob's sifted bits Eve knows)
-    against active_eve_info's i_AE = K / C, each at the 4-sigma level,
-    plus the unattacked baseline rates. The delivered click rate equals the
-    lossy line's C = 1 - exp(-mu_b) wherever the plan balances the budget;
-    beyond the fully-insecure length the capped plan cannot, and Bob sees
-    fewer clicks than the lossy line would give. The plan, and so i_AE,
-    is the attached decoy-distortion report's plan, and Bob's expected
-    rates are its expected cells. Deterministic for fixed inputs.
+    against the plan's i_ae, each at the 4-sigma level, plus the unattacked
+    baseline rates. The delivered click rate equals the lossy line's
+    C = 1 - exp(-mu_b) wherever the plan balances the budget; beyond the
+    fully-insecure length the capped plan cannot, and Bob sees fewer clicks
+    than the lossy line would give. The plan is the attached
+    decoy-distortion report's plan, and Bob's expected rates are its
+    expected cells. Deterministic for fixed inputs.
     """
     from . import montecarlo
 
     attacked, baseline = montecarlo._stream_pair(params, length_km, n_pulses, seed)
     distortion = montecarlo.decoy_distortion(params, length_km, n_pulses, seed)
     plan = distortion.plan
-    i_ae = active_eve_info(plan)
     cells = {(r.pulse_class, r.pattern): r for r in distortion.rows}
     single = cells["bit0", "single"]
     p_double = cells["decoy", "double"].expected_no_attack if params.decoy_fraction > 0 else None
@@ -361,10 +359,9 @@ def run_montecarlo_validation(
         ("attack_bob_info_click_rate", att.bob_click, att.sent, single.expected_attack),
         ("attack_eve_conclusive_info_rate", att.eve_conclusive, att.sent, plan.p_conc_inf),
         ("attack_blocked_fraction", att.blocked, att.sent, plan.block_fraction),
-        ("attack_i_ae_proxy", att.eve_conclusive_bob_click, att.bob_click, i_ae),
+        ("attack_i_ae_proxy", att.eve_conclusive_bob_click, att.bob_click, plan.i_ae),
     )
     checks = tuple(_make_check(*row) for row in rows if row[3] is not None)
 
     config = {**params._asdict(), "length_km": length_km, "n_pulses": n_pulses, "seed": seed}
-    plan_dict = {**plan._asdict(), "i_ae": i_ae}
-    return ValidationReport(config, plan_dict, checks, distortion)
+    return ValidationReport(config, checks, distortion)

@@ -11,7 +11,6 @@ import numpy as np
 import cowsec.cli as cli
 from cowsec.attacks import (
     active_attack,
-    active_eve_info,
     active_plan,
     bs_attack,
     critical_length,
@@ -139,7 +138,7 @@ def test_criterion_05_eve_intensity_optimality():
         info = np.where(p_inf > 0.0, np.minimum(1.0, p_inf / (1.0 - b)), 0.0)
         if info.max() >= 1.0 - 1e-12:
             # plateau of full insecurity: the closed form must reach it too
-            ok = ok and active_eve_info(active_plan(p, length, mu_star)) >= 1.0 - 1e-12
+            ok = ok and active_plan(p, length, mu_star).i_ae >= 1.0 - 1e-12
         else:
             step = grid[1] - grid[0]
             ok = ok and abs(mu_star - grid[np.argmax(info)]) <= step

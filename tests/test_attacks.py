@@ -14,17 +14,15 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cowsec.cli as cli
 from bench import workloads
 from cowsec.attacks import (
     MU_SEARCH_MAX,
-    ActiveAttackPlan,
     OptimalIntensity,
     active_attack,
-    active_eve_info,
     active_plan,
     bs_attack,
     critical_length,
@@ -155,25 +153,27 @@ def test_active_report_carries_the_margin_and_the_plan_bobs_lossy_click(mu, leng
     point = channel_point(p, length)
     report = active_attack(p, length)
     plan = report.plan
+    assert plan == active_plan(p, length)
     assert plan.p_lossy_click.hex() == (-math.expm1(-point.mu_b)).hex()
-    assert report.margin.hex() == key_rate_margin(p, length).hex()
-    assert math.isnan(bs_attack(p, length).margin)
+    assert plan.margin.hex() == key_rate_margin(p, length).hex()
+    assert report.i_ae.hex() == plan.i_ae.hex()
+    assert bs_attack(p, length).plan is None
     at_cap = plan.block_fraction == 1.0 - plan.p_conc_inf
     if regime == "full_budget":
         assert plan.mu_e == point.mu_e_max and plan.block_fraction == 0.0
-        assert report.margin == plan.p_lossy_click * (1.0 - report.i_ae) > 0.0
+        assert plan.margin == plan.p_lossy_click * (1.0 - plan.i_ae) > 0.0
     elif regime == "blocking":
-        assert 0.0 < plan.block_fraction and not at_cap and report.margin > 0.0
+        assert 0.0 < plan.block_fraction and not at_cap and plan.margin > 0.0
     elif regime == "cap":
-        assert at_cap and report.i_ae == 1.0 and report.margin == 0.0
+        assert at_cap and plan.i_ae == 1.0 and plan.margin == 0.0
     elif regime == "secure_just_short_of_the_cap":
         # 2.3e-13 (relative) short of L*, Eve's known rate K is still below C
         known = plan.p_conc_inf * -math.expm1(-plan.mu_b_prime)
-        assert not at_cap and report.i_ae < 1.0 and not report.fully_insecure
-        assert report.margin == plan.p_lossy_click - known > 0.0
+        assert not at_cap and plan.i_ae < 1.0 and not report.fully_insecure
+        assert plan.margin == plan.p_lossy_click - known > 0.0
     else:  # T underflows, so Bob expects nothing and Eve knows every delivered bit
         assert point.mu_b == plan.p_lossy_click == 0.0
-        assert at_cap and report.margin == 0.0
+        assert at_cap and plan.margin == 0.0
 
 
 @pytest.mark.parametrize("length", [5.0, 10.0, 40.0, 500.0, 800.0, 1000.0, 20000.0])
@@ -224,12 +224,12 @@ def test_active_plan_cap_reached_on_long_channel():
 def test_eve_info_no_blocking_equals_conclusive_probability():
     plan = active_plan(params(0.5), 10.0, channel_point(params(0.5), 10.0).mu_e_max)
     assert plan.block_fraction == 0.0
-    assert active_eve_info(plan) == plan.p_conc_inf
+    assert plan.i_ae == plan.p_conc_inf
 
 
 def test_eve_info_at_cap_is_unity():
     plan = active_plan(params(0.5), 60.0, 0.25)
-    assert active_eve_info(plan) == 1.0
+    assert plan.i_ae == 1.0
 
 
 @pytest.mark.parametrize("length", [25.0, 20000.0])
@@ -238,12 +238,12 @@ def test_eve_info_without_diversion_is_zero(length):
     # click rate underflows to 0 and K >= C would read 0 >= 0
     plan = active_plan(params(0.4), length, 0.0)
     assert plan.block_fraction > 0.0
-    assert active_eve_info(plan) == 0.0
+    assert plan.i_ae == 0.0
 
 
 def test_eve_info_frozen_value():
     plan = active_plan(params(0.5), 20.0, 0.25)
-    assert active_eve_info(plan) == pytest.approx(ACTIVE_05_20_IAE, abs=1e-14)
+    assert plan.i_ae == pytest.approx(ACTIVE_05_20_IAE, abs=1e-14)
 
 
 def test_eve_info_monotone_in_block_fraction():
@@ -251,36 +251,39 @@ def test_eve_info_monotone_in_block_fraction():
     # to the cap; her information grows with it and ends at exactly one
     plans = [active_plan(params(0.5), length, 0.25) for length in np.linspace(20.0, 60.0, 60)]
     blocks = [plan.block_fraction for plan in plans]
-    infos = [active_eve_info(plan) for plan in plans]
+    infos = [plan.i_ae for plan in plans]
     assert blocks == sorted(blocks) and blocks[0] > 0.0
     assert all(i <= 1.0 for i in infos)
     assert all(b >= a for a, b in zip(infos, infos[1:]))
     assert infos[-1] == 1.0
 
 
-# With Eve's known rate K a few ulps below Bob's click rate C, just short of
-# the blocking cap, the plain quotient K / C must stay a probability below one
-# without any clamp; at K == C it is exactly one.
+# Within 1e-15 to 1e-9 (relative) of the fully-insecure length L*, on either
+# side, Eve's known rate K and Bob's click rate C are within rounding of each
+# other. The plan's i_ae must stay a probability and its margin within
+# [0, C], and the two must decide full insecurity together: i_ae is exactly
+# one where the margin is exactly zero, unless C itself underflows to zero.
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(
-    p_conc_inf=st.one_of(
-        st.floats(min_value=1e-300, max_value=1e-12), st.floats(min_value=1e-12, max_value=1.0)
+    mu=st.one_of(
+        st.floats(min_value=1e-300, max_value=1e-3), st.floats(min_value=1e-3, max_value=1e3)
     ),
-    mu_b_prime=st.floats(min_value=1e-300, max_value=40.0),
-    ulps=st.integers(min_value=1, max_value=5),
+    offset=st.floats(min_value=1e-15, max_value=1e-9),
+    side=st.sampled_from([-1.0, 1.0]),
 )
-@example(p_conc_inf=1e-300, mu_b_prime=1e-10, ulps=1)
-@example(p_conc_inf=2.0**-54, mu_b_prime=0.5, ulps=1)
-@example(p_conc_inf=0.5 + 2.0**-53, mu_b_prime=0.5, ulps=1)
-def test_eve_info_just_below_the_cap_is_a_probability(p_conc_inf, mu_b_prime, ulps):
-    known = p_conc_inf * -math.expm1(-mu_b_prime)
-    assume(known > 0.0)
-    click = known
-    for _ in range(ulps):
-        click = math.nextafter(click, math.inf)
-    plan = ActiveAttackPlan(0.1, mu_b_prime, 0.5, p_conc_inf, p_conc_inf, click)
-    assert 0.0 < active_eve_info(plan) < 1.0
-    assert active_eve_info(plan._replace(p_lossy_click=known)) == 1.0
+@example(mu=0.05, offset=2.3e-13, side=-1.0)
+@example(mu=1e-300, offset=1e-15, side=1.0)
+@example(mu=1e3, offset=1e-9, side=-1.0)
+def test_plans_near_the_fully_insecure_length_decide_i_ae_and_margin_together(mu, offset, side):
+    p = params(mu)
+    length = fully_insecure_length(p) * (1.0 + side * offset)
+    plan = active_plan(p, length)
+    assert 0.0 <= plan.i_ae <= 1.0
+    assert 0.0 <= plan.margin <= plan.p_lossy_click
+    if plan.p_lossy_click > 0.0:
+        assert (plan.i_ae == 1.0) == (plan.margin == 0.0)
+    if plan.i_ae < 1.0:
+        assert plan.margin > 0.0
 
 
 def test_information_balance_identity_on_random_uncapped_plans():
@@ -340,7 +343,7 @@ def test_optimal_mu_e_matches_grid_argmax():
             # fully insecure plateau: the maximiser is not unique, the
             # closed form must sit on the plateau
             plan = active_plan(params(mu, delta=delta), length, mu_star)
-            assert active_eve_info(plan) >= 1.0 - 1e-12
+            assert plan.i_ae >= 1.0 - 1e-12
         else:
             assert abs(mu_star - grid[np.argmax(info)]) <= step
 
@@ -361,9 +364,11 @@ def test_critical_length_unit_normalising_delta():
     assert critical_length(10.0 * math.log10(2.0)) == pytest.approx(1.0, rel=1e-14)
 
 
-def test_critical_length_domain():
-    with pytest.raises(ValueError):
-        critical_length(0.0)
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+def test_critical_length_domain(delta):
+    # the attenuation checks of ProtocolParams and attenuate, message included
+    with pytest.raises(ValueError, match="attenuation coefficient must be positive and finite"):
+        critical_length(delta)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +509,7 @@ def test_margin_vanishes_when_fully_insecure():
     report = active_attack(params(0.05), 95.68961614815218)
     assert report.i_ae < 1.0 and not report.fully_insecure
     assert_active_report_matches_exact(0.05, 0.2, 95.68961614815218)
-    assert key_rate_margin(params(0.05), 95.68961614815218) == report.margin > 0.0
+    assert key_rate_margin(params(0.05), 95.68961614815218) == report.plan.margin > 0.0
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -518,9 +523,8 @@ def test_margin_is_zero_exactly_when_fully_insecure(mu, k):
     report = active_attack(p, length)
     margin = key_rate_margin(p, length)
     assert (margin == 0.0) == report.fully_insecure
-    assert report.margin.hex() == margin.hex()
+    assert report.plan.margin.hex() == margin.hex()
     assert report.plan.p_lossy_click.hex() == (-math.expm1(-channel_point(p, length).mu_b)).hex()
-    assert math.isnan(bs_attack(p, length).margin)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -793,7 +797,7 @@ def assert_active_report_matches_exact(mu: float, delta: float, length: float) -
         i_ae_bound = eps * exact.i_ae * exact.cond_i_ae
         margin_bound = eps * exact.margin * exact.cond_margin
         assert abs(report.i_ae - exact.i_ae) <= i_ae_bound, (mu, length)
-        assert abs(report.margin - exact.margin) <= margin_bound, (mu, length)
+        assert abs(report.plan.margin - exact.margin) <= margin_bound, (mu, length)
 
 
 def test_active_report_matches_mpmath_on_the_benchmark_grid(tmp_path):

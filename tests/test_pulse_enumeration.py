@@ -14,7 +14,7 @@ from itertools import product
 
 import pytest
 
-from cowsec.attacks import active_eve_info, active_plan, critical_length, fully_insecure_length
+from cowsec.attacks import active_plan, critical_length, fully_insecure_length
 from cowsec.core import ProtocolParams, channel_point
 from cowsec.montecarlo import ClassTally, decoy_distortion
 
@@ -114,7 +114,12 @@ def test_closed_forms_equal_the_exact_one_pulse_enumeration():
         assert_close(plan.block_fraction, b, b, ("b",) + label)
         # i_AE read as the share of Bob's clicks on information pulses that Eve knows
         i_ae = info.eve_conclusive_bob_click / info.bob_click
-        assert_close(active_eve_info(plan), i_ae, b, ("i_ae",) + label)
+        assert_close(plan.i_ae, i_ae, b, ("i_ae",) + label)
+        # the margin is Bob's unattacked click rate C less the rate K of his
+        # clicks Eve knows; near L* C - K cancels, so its bound is absolute
+        capacity = (unattacked["bit0"].bob_click + unattacked["bit1"].bob_click) / info.sent
+        margin = max(Fraction(0), capacity - info.eve_conclusive_bob_click / info.sent)
+        assert abs(Fraction(plan.margin) - margin) <= 4 * Fraction(EPS) * capacity, ("margin",) + label
         if f > 0:
             decoy = attacked["decoy"]
             p_conc_cont = decoy.eve_conclusive / decoy.sent

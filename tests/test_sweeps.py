@@ -25,6 +25,7 @@ import cowsec.cli as cli
 from cowsec import __version__
 from cowsec.core import ProtocolParams
 from cowsec.attacks import (
+    ActiveAttackPlan,
     active_attack,
     active_plan,
     bs_attack,
@@ -425,7 +426,7 @@ def test_optimal_intensity_sweep_rows():
 
 @pytest.mark.parametrize("delta", [0.2, 0.35])
 def test_optimal_intensity_sweep_margin_is_the_optimisers_margin(delta):
-    # the rows take their margin from the qber row builder, not from the optimiser
+    # the rows take their margin from the plan, not from the optimiser
     rows = sweep_optimal_intensity(delta, 0.1, 0.0, 300.0, 0.5)
     for row in rows:
         assert row.margin == optimal_source_intensity(delta, row.length_km).margin
@@ -447,7 +448,7 @@ def test_qber_sweep_columns_are_the_librarys_values_on_every_row():
 def test_each_analysed_point_attenuates_only_in_its_channel_points(monkeypatch):
     # every module binding of core.attenuate is counted, as bench/trace.py
     # patches them: a row attenuates in bs_attack's and active_attack's
-    # channel points, and its margin reads the plan's p_lossy_click
+    # channel points, and its margin is the plan's
     from cowsec import attacks, core, montecarlo, sweeps
     from cowsec.montecarlo import decoy_distortion
 
@@ -581,7 +582,6 @@ def test_validation_passes_at_every_length(f):
 @pytest.mark.parametrize("length", [5.0, 40.0, 150.0])
 def test_validation_takes_the_one_plan_its_distortion_report_carries(f, length):
     # below the critical length, blocking and beyond the fully-insecure length
-    from cowsec.attacks import active_eve_info
     from cowsec.core import channel_point
     from cowsec.montecarlo import decoy_distortion
 
@@ -592,7 +592,11 @@ def test_validation_takes_the_one_plan_its_distortion_report_carries(f, length):
     report = run_montecarlo_validation(p, length, 1000, 3)
     plan = report.distortion.plan
     assert plan == active_plan(p, length)
-    assert report.plan == {**plan._asdict(), "i_ae": active_eve_info(plan)}
+    assert report.checks[-1].expected == plan.i_ae
+    # the JSON plan block keeps its seven keys: every plan field but the margin
+    block = report.to_jsonable()["plan"]
+    assert list(block) == list(ActiveAttackPlan._fields[:-1])
+    assert block == {name: getattr(plan, name) for name in block}
 
 
 def test_validation_without_decoys_skips_decoy_check():
@@ -985,16 +989,38 @@ def test_each_public_name_is_exported_and_imported_only_from_its_defining_module
     assert wrong == []
 
 
+def innermost_functions(tree):
+    """Each node of tree mapped to the name of the innermost function holding it."""
+    owner = {}
+    for func in ast.walk(tree):  # outer functions first, so the innermost wins
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((node, func.name) for node in ast.walk(func))
+    return owner
+
+
+def test_only_active_plan_builds_an_active_attack_plan():
+    # a plan built elsewhere could carry an i_ae or margin its rates do not
+    # give; `ActiveAttackPlan(...)`, `._make` and `._replace` on the class count
+    package = Path(cli.__file__).parent
+    root = package.parent.parent
+    paths = [p for d in (package, root / "tests", root / "demos") for p in sorted(d.glob("*.py"))]
+    builders = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        owner = innermost_functions(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "ActiveAttackPlan" in ast.unparse(node.func).split(".")[-2:]:
+                builders.append((path.relative_to(root).as_posix(), owner.get(node)))
+    assert builders == [("src/cowsec/attacks.py", "active_plan")]
+
+
 def test_one_function_opens_files_and_it_translates_no_newlines():
     # every output file goes through sweeps._write; a second writer, or one
     # that translates newlines, would let bytes differ by command or platform
     found = []
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
-        owner = {}
-        for func in ast.walk(tree):  # outer functions first, so the innermost wins
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update((node, func.name) for node in ast.walk(func))
+        owner = innermost_functions(tree)
         for node in ast.walk(tree):
             called = getattr(node, "func", None)
             if getattr(called, "id", getattr(called, "attr", None)) in ("open", "write_text"):
