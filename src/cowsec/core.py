@@ -23,6 +23,13 @@ __all__ = [
     "holevo_two_pure",
 ]
 
+# Bound once: the entropy inverse runs these on every step.
+_log2 = math.log2
+_sqrt = math.sqrt
+_LN2 = math.log(2.0)
+# Half-width of the rounding band of float h2 at y, per unit of y (see _root_cell).
+_BAND_EPS = 16.0 * sys.float_info.epsilon
+
 
 class _ProtocolParamsFields(NamedTuple):
     mu: float
@@ -89,11 +96,11 @@ def attenuate(mu: float, delta: float, length_km: float) -> float:
 
 def binary_entropy(q: float) -> float:
     """Binary entropy h2(q) in bits, with the convention 0*log2(0) = 0."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {q}")
+    if 0.0 < q < 1.0:
+        return -q * _log2(q) - (1.0 - q) * _log2(1.0 - q)
     if q == 0.0 or q == 1.0:
         return 0.0
-    return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
+    raise ValueError(f"probability must lie in [0, 1], got {q}")
 
 
 def binary_entropy_inverse(y: float) -> float:
@@ -102,18 +109,19 @@ def binary_entropy_inverse(y: float) -> float:
     Returns the q in [0, 1/2] with h2(q) = y that bisection of [0, 1/2] on
     the predicate binary_entropy(mid) < y reaches when its bracket holds
     adjacent floats. The bisection only starts late, so the bits are those
-    of bisecting from [0, 1/2], at about 15 evaluations of binary_entropy
-    where bisecting from [0, 1/2] takes about 55.
+    of bisecting from [0, 1/2], at a mean of 13.4 evaluations of
+    binary_entropy for y uniform in [0, 1] where bisecting from [0, 1/2]
+    takes about 55.
 
-    A safeguarded Newton iteration on the float h2 (the Newton-bisection
-    hybrid rtsafe, Press et al., Numerical Recipes, 3rd ed., section 9.4)
-    locates the root q. Outside a band of half-width w around q the float
-    predicate agrees with exact h2, so every bisection midpoint coarser than
-    the smallest aligned dyadic cell holding the band lies outside the band,
-    and bisection from [0, 1/2] passes through that cell. The bisection
-    starts from the cell once binary_entropy confirms the decisions taken at
-    its ends, h2(lo) < y <= h2(hi); otherwise, and for y below 1e-280, it
-    starts from [0, 1/2].
+    A safeguarded Halley iteration on the float h2 (Halley's step inside
+    the Newton-bisection hybrid rtsafe, Press et al., Numerical Recipes,
+    3rd ed., section 9.4) locates the root q. Outside a band of half-width
+    w around q the float predicate agrees with exact h2, so every bisection
+    midpoint coarser than the smallest aligned dyadic cell holding the band
+    lies outside the band, and bisection from [0, 1/2] passes through that
+    cell. The bisection starts from the cell once binary_entropy confirms
+    the decisions taken at its ends, h2(lo) < y <= h2(hi); otherwise, and
+    for y below 1e-280, it starts from [0, 1/2].
     """
     if not 0.0 <= y <= 1.0:
         raise ValueError(f"entropy value must lie in [0, 1], got {y}")
@@ -137,30 +145,36 @@ def _root_cell(y: float) -> tuple[float, float]:
     # predicate binary_entropy(m) < y is exact with a margin of nearly 3.
     # The band is also at least 32*eps*q wide, so every bisection midpoint
     # down to the cell is an exact float.
-    tol = 16.0 * sys.float_info.epsilon * y
+    tol = _BAND_EPS * y
     # Starting points that are accurate for small y and for y near 1.
-    q = max(y / (math.log2(1.0 / y) + 4.0), 0.5 - 0.5 * math.sqrt(1.0 - y ** (4.0 / 3.0)))
+    q = max(y / (_log2(1.0 / y) + 4.0), 0.5 - 0.5 * _sqrt(1.0 - y ** (4.0 / 3.0)))
     a, b = 0.0, 0.5  # bracket with h2(a) < y <= h2(b)
     step = math.inf
     while True:
         res = binary_entropy(q) - y
-        slope = math.log2((1.0 - q) / q)
+        slope = _log2((1.0 - q) / q)
+        newton = res / slope
         # Stop when converged, or when the steps stop halving: float h2 has
         # jumps of up to 0.7 eps where the rounding of 1 - q changes, and
         # Newton cannot settle closer than a jump to a root inside one.
-        if abs(res) <= tol or abs(res / slope) > 0.5 * abs(step):
+        if abs(res) <= tol or abs(newton) > 0.5 * abs(step):
             break
         if res < 0.0:
             a = q
         else:
             b = q
-        step = res / slope
+        # Halley's step divides Newton's by 1 - newton*h2''/(2 h2'), with
+        # h2'' = -1/(q(1-q) ln 2), which costs no log. Where that divisor
+        # leaves [1/2, 2] (far from the root) Newton's step is taken as is,
+        # so the step never changes sign and never divides by zero.
+        divisor = 1.0 + 0.5 * newton / (slope * q * (1.0 - q) * _LN2)
+        step = newton / divisor if 0.5 <= divisor <= 2.0 else newton
         q -= step
         if not a < q < b:
             q = 0.5 * (a + b)
     w = (tol + 2.0 * abs(res)) / slope
     lo_band, hi_band = max(q - w, 0.0), min(q + w, 0.5)
-    width = 2.0 ** math.ceil(math.log2(hi_band - lo_band))
+    width = 2.0 ** math.ceil(_log2(hi_band - lo_band))
     while True:
         lo = math.floor(lo_band / width) * width
         if hi_band <= lo + width:

@@ -5,10 +5,13 @@ floats at 17 significant digits so 64-bit values round-trip exactly) or
 JSON (same rows as objects plus a metadata block). Each CSV row is written
 from one line template derived from SweepRow's fields, ended by CRLF as
 csv.writer ends lines; no cell ever needs quoting, so the csv module is
-not needed. Outputs carry the fully resolved configuration in their
-header and contain nothing time-dependent, so identical inputs give
-byte-identical files. Every file, sweep table or validation report, is
-written by one writer, _write, without newline translation.
+not needed. The columns whose values repeat down a table (mu, length_km,
+mu_e_opt) go through a cell cache that lives for one table, so each
+distinct nonzero value is formatted once. Outputs carry the fully
+resolved configuration in their header and contain nothing
+time-dependent, so identical inputs give byte-identical files. Every
+file, sweep table or validation report, is written by one writer,
+_write, without newline translation.
 """
 
 from __future__ import annotations
@@ -72,15 +75,41 @@ class SweepRow(NamedTuple):
 _COLUMNS = SweepRow._fields
 
 
-def _csv_line(flag: str) -> str:
-    """Line template of a CSV row: %.17g per float column, flag as the fully_insecure cell."""
-    cells = (flag if column == "fully_insecure" else "%.17g" for column in _COLUMNS)
-    return ",".join(cells) + "\r\n"  # csv.writer's line ending
+# Float columns whose values repeat down a table: one value of mu per block
+# of rows, the length grid once per mu, and Eve's intensity across lengths.
+_CACHED_COLUMNS = ("mu", "length_km", "mu_e_opt")
+_FLAGS = {False: "false", True: "true"}
+# Cells of the flag and of the cached columns arrive as text, the rest as floats.
+_CSV_LINE = ",".join(
+    "%s" if column == "fully_insecure" or column in _CACHED_COLUMNS else "%.17g"
+    for column in _COLUMNS
+) + "\r\n"  # csv.writer's line ending
 
 
-# One template per flag value, each filled with the float columns in order.
-_CSV_LINES = {False: _csv_line("false"), True: _csv_line("true")}
-_FLOAT_CELLS = attrgetter(*(column for column in _COLUMNS if column != "fully_insecure"))
+class _CellCache(dict):
+    """Text of float cells by value, each formatted at %.17g on first use.
+
+    Zeros are formatted every time and never stored: 0.0 == -0.0 as keys,
+    but they print as 0 and -0.
+    """
+
+    def __missing__(self, value: float) -> str:
+        text = "%.17g" % value
+        if value != 0.0:
+            self[value] = text
+        return text
+
+
+def _csv_lines(rows: Sequence[SweepRow]) -> Iterable[str]:
+    """The CSV lines of rows, filled column by column; cached columns share one cell cache."""
+    cells = _CellCache()
+    texts = {column: cells.__getitem__ for column in _CACHED_COLUMNS}
+    texts["fully_insecure"] = _FLAGS.__getitem__
+    columns = [
+        map(texts[name], column) if name in texts else column
+        for name, column in zip(_COLUMNS, zip(*rows))
+    ]
+    return map(_CSV_LINE.__mod__, zip(*columns))
 
 
 def length_grid(l_min: float, l_max: float, l_step: float) -> List[float]:
@@ -213,7 +242,10 @@ def _write(path: str, chunks: Iterable[str], what: str) -> None:
 def write_sweep(path: str, rows: Sequence[SweepRow], config: Dict[str, str], fmt: str = "csv") -> None:
     """Write a sweep table in fmt "csv" or "json" under a header of tool, version, config, format.
 
-    The file goes through _write, the writer of the validation report too.
+    CSV cells of mu, length_km and mu_e_opt come from a cache that lives for
+    this call, so each distinct nonzero value in those columns is formatted
+    once per table. The file goes through _write, the writer of the
+    validation report too.
     """
     _check_format(fmt)
     meta = {"tool": "cowsec", "version": __version__, **config, "format": fmt}
@@ -222,7 +254,7 @@ def write_sweep(path: str, rows: Sequence[SweepRow], config: Dict[str, str], fmt
     else:
         header = [f"# {key}={value}\n" for key, value in meta.items()]
         header.append(",".join(_COLUMNS) + "\r\n")
-        chunks = chain(header, (_CSV_LINES[row.fully_insecure] % _FLOAT_CELLS(row) for row in rows))
+        chunks = chain(header, _csv_lines(rows))
     _write(path, chunks, "sweep table")
 
 
