@@ -43,7 +43,7 @@ def describe(params: ProtocolParams, length_km: float) -> None:
 
 
 def main() -> None:
-    params = ProtocolParams(mu=0.5, decoy_fraction=0.1, delta=0.2)
+    params = ProtocolParams(mu=0.5, delta=0.2)
     print(f"blocking becomes worthwhile beyond  {critical_length(params.delta):.2f} km")
     print(f"the active attack needs no errors beyond {fully_insecure_length(params):.2f} km")
     print()

@@ -18,7 +18,6 @@ def main() -> None:
     rows = sweep_qber_curves(
         mu_list=mu_list,
         delta=0.2,
-        decoy_fraction=0.1,
         l_min=0.0,
         l_max=150.0,
         l_step=1.0,

@@ -14,7 +14,7 @@ from cowsec.sweeps import sweep_optimal_intensity
 
 def main() -> None:
     out = sys.argv[1] if len(sys.argv) > 1 else "optimal_intensity.csv"
-    rows = sweep_optimal_intensity(0.2, 0.1, 1.0, 100.0, 1.0, output_path=out)
+    rows = sweep_optimal_intensity(0.2, 1.0, 100.0, 1.0, output_path=out)
     print(f"wrote {len(rows)} rows to {out}")
     print()
     print(" length   mu*      margin     QBER_active  QBER_bs")

@@ -8,6 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation failure, 2 invalid arguments,
 3 I/O error. Length ranges use min:max:step, lists are comma separated.
+The decoy fraction enters only the simulated pulse statistics, not the
+closed forms, so validate-mc is the one command that takes it.
 
 Each subcommand's help line, handler and arguments live in one table,
 _SUBCOMMANDS, and each subcommand's parser adds its arguments only when a
@@ -81,7 +83,6 @@ def _cmd_qber_curves(args: argparse.Namespace) -> int:
     rows = sweep_qber_curves(
         _parse_mu_list(args.mu),
         delta=args.delta,
-        decoy_fraction=args.decoy_fraction,
         l_min=l_min,
         l_max=l_max,
         l_step=l_step,
@@ -99,7 +100,6 @@ def _cmd_optimal_intensity(args: argparse.Namespace) -> int:
     l_min, l_max, l_step = _parse_range(args.length)
     rows = sweep_optimal_intensity(
         args.delta,
-        args.decoy_fraction,
         l_min,
         l_max,
         l_step,
@@ -111,15 +111,14 @@ def _cmd_optimal_intensity(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack_report(args: argparse.Namespace) -> int:
-    params = ProtocolParams(mu=args.mu, decoy_fraction=args.decoy_fraction, delta=args.delta)
+    params = ProtocolParams(mu=args.mu, delta=args.delta)
     point = channel_point(params, args.length)
     bs = bs_attack(params, args.length)
     active = active_attack(params, args.length)
     plan = active.plan
     lines = [
         f"cowsec {__version__} attack report",
-        f"  configuration: mu={params.mu:g}  decoy_fraction={params.decoy_fraction:g}  "
-        f"delta={params.delta:g} dB/km  length={args.length:g} km",
+        f"  configuration: mu={params.mu:g}  delta={params.delta:g} dB/km  length={args.length:g} km",
         "",
         "channel",
         f"  Bob intensity mu_B            = {point.mu_b:.6g}",
@@ -165,7 +164,6 @@ _SUBCOMMANDS = {
         (
             _arg("--mu", default="0.1,0.2,0.5", help="comma-separated source intensities"),
             _arg("--delta", type=float, default=0.2, help="attenuation in dB/km"),
-            _arg("--decoy-fraction", type=float, default=0.1),
             _arg("--length", default="0:150:1", help="length grid min:max:step in km"),
             _arg("--attacks", default="bs,active", help="subset of bs,active"),
             _arg("--out", required=True, help="output file path"),
@@ -178,7 +176,6 @@ _SUBCOMMANDS = {
         _cmd_optimal_intensity,
         (
             _arg("--delta", type=float, default=0.2),
-            _arg("--decoy-fraction", type=float, default=0.1),
             _arg("--length", default="1:100:1"),
             _arg("--out", required=True),
             _arg("--format", choices=("csv", "json"), default="csv"),
@@ -192,7 +189,6 @@ _SUBCOMMANDS = {
             _arg("--mu", type=float, required=True),
             _arg("--delta", type=float, default=0.2),
             _arg("--length", type=float, required=True),
-            _arg("--decoy-fraction", type=float, default=0.1),
         ),
     ),
     "validate-mc": (

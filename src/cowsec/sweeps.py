@@ -134,6 +134,15 @@ def length_grid(l_min: float, l_max: float, l_step: float) -> List[float]:
     return [l_min + k * l_step for k in range(int(math.floor(steps)) + 1)]
 
 
+def _check_distinct(what: str, values: Iterable[object]) -> None:
+    """Reject a value that appears twice; equal numbers are one value (1 and 1.0)."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ValueError(f"{what} {value!r} is repeated")
+        seen.add(value)
+
+
 def _qber_row(params: ProtocolParams, length_km: float, attacks: Sequence[str]) -> SweepRow:
     qber_bs = bs_attack(params, length_km).qber_critical if "bs" in attacks else math.nan
     if "active" not in attacks:
@@ -156,7 +165,6 @@ def _qber_row(params: ProtocolParams, length_km: float, attacks: Sequence[str]) 
 def sweep_qber_curves(
     mu_list: Sequence[float],
     delta: float = 0.2,
-    decoy_fraction: float = 0.1,
     l_min: float = 0.0,
     l_max: float = 150.0,
     l_step: float = 1.0,
@@ -166,16 +174,18 @@ def sweep_qber_curves(
 ) -> List[SweepRow]:
     """Critical-QBER curves over a length grid, one row per (mu, length).
 
-    Every setting is checked before any row is computed. Rows come back
-    sorted by (mu, length). When output_path is set the table is also
-    written in fmt.
+    Every setting is checked before any row is computed; a repeated
+    intensity or attack is rejected. Rows come back sorted by (mu, length).
+    When output_path is set the table is also written in fmt.
     """
     if not mu_list:
         raise ValueError("mu_list must not be empty")
-    params_list = [ProtocolParams(mu, decoy_fraction, delta) for mu in mu_list]
+    params_list = [ProtocolParams(mu, delta=delta) for mu in mu_list]
+    _check_distinct("source intensity", mu_list)
     lengths = length_grid(l_min, l_max, l_step)
     if not attacks or any(a not in _ATTACK_NAMES for a in attacks):
         raise ValueError(f"attacks must be a non-empty subset of {_ATTACK_NAMES}")
+    _check_distinct("attack", attacks)
     _check_format(fmt)
     rows = [_qber_row(params, l, attacks) for params in params_list for l in lengths]
     rows.sort(key=attrgetter("mu", "length_km"))
@@ -183,23 +193,22 @@ def sweep_qber_curves(
         config = {
             "command": "qber-curves",
             "mu": ",".join(f"{m:.17g}" for m in mu_list),
-            **_channel_config(delta, decoy_fraction, (l_min, l_max, l_step)),
+            **_channel_config(delta, (l_min, l_max, l_step)),
             "attacks": ",".join(attacks),
         }
         write_sweep(output_path, rows, config, fmt)
     return rows
 
 
-def _optimal_row(delta: float, f: float, length_km: float) -> SweepRow:
+def _optimal_row(delta: float, length_km: float) -> SweepRow:
     # _qber_row's margin is the plan's, which key_rate_margin returns too, so
     # it equals optimal_source_intensity's margin bit for bit.
     mu = optimal_source_intensity(delta, length_km).mu
-    return _qber_row(ProtocolParams(mu, f, delta), length_km, _ATTACK_NAMES)._replace(mu_opt=mu)
+    return _qber_row(ProtocolParams(mu, delta=delta), length_km, _ATTACK_NAMES)._replace(mu_opt=mu)
 
 
 def sweep_optimal_intensity(
     delta: float,
-    f: float,
     l_min: float,
     l_max: float,
     l_step: float,
@@ -208,11 +217,11 @@ def sweep_optimal_intensity(
 ) -> List[SweepRow]:
     """Per length: the margin-optimal source intensity and both critical QBERs there."""
     _check_format(fmt)
-    rows = [_optimal_row(delta, f, l) for l in length_grid(l_min, l_max, l_step)]
+    rows = [_optimal_row(delta, l) for l in length_grid(l_min, l_max, l_step)]
     if output_path is not None:
         config = {
             "command": "optimal-intensity",
-            **_channel_config(delta, f, (l_min, l_max, l_step)),
+            **_channel_config(delta, (l_min, l_max, l_step)),
         }
         write_sweep(output_path, rows, config, fmt)
     return rows
@@ -221,11 +230,10 @@ def sweep_optimal_intensity(
 # ---------------------------------------------------------------------------
 # serialisation
 
-def _channel_config(delta: float, f: float, grid: Tuple[float, float, float]) -> Dict[str, str]:
-    """The header keys both sweeps share, the channel and the length grid, at %.17g."""
+def _channel_config(delta: float, grid: Tuple[float, float, float]) -> Dict[str, str]:
+    """The header keys both sweeps share, the attenuation and the length grid, at %.17g."""
     return {
         "delta": f"{delta:.17g}",
-        "decoy_fraction": f"{f:.17g}",
         "length": ":".join(f"{x:.17g}" for x in grid),
     }
 

@@ -1,7 +1,8 @@
-"""Each demo, and README's library example, runs against the sources in this checkout."""
+"""Each demo, and README's library example and command lines, run against the sources in this checkout."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -9,6 +10,8 @@ from io import StringIO
 from pathlib import Path
 
 import pytest
+
+import cowsec.cli as cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -46,3 +49,20 @@ def test_readme_library_example_prints_what_its_comments_say():
     for value, comment in zip(printed, comments):
         decimals = len(comment.partition(".")[2])
         assert f"{float(value):.{decimals}f}" == comment
+
+
+def test_readme_command_lines_run(tmp_path):
+    block = re.search(r"## Command line\n\n```\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    assert len(lines) == 4
+    for line in lines:
+        program, *argv = shlex.split(line)
+        assert program == "cowsec", line
+        out = None
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            out = tmp_path / argv[at]
+            argv[at] = str(out)
+        with redirect_stdout(StringIO()):
+            assert cli.main(argv) == 0, line
+        assert out is None or out.is_file(), line

@@ -90,7 +90,6 @@ def small_sweep(tmp_path=None, fmt="csv", attacks=("bs", "active")):
     return sweep_qber_curves(
         mu_list=(0.1, 0.5),
         delta=0.2,
-        decoy_fraction=0.1,
         l_min=0.0,
         l_max=60.0,
         l_step=5.0,
@@ -110,7 +109,6 @@ def small_sweep(tmp_path=None, fmt="csv", attacks=("bs", "active")):
         {"mu_list": ()},
         {"mu_list": (0.1, -0.2)},
         {"mu_list": (0.1,), "delta": 0.0},
-        {"mu_list": (0.1,), "decoy_fraction": 1.0},
         {"mu_list": (0.1,), "l_min": -1.0},
         {"mu_list": (0.1,), "l_step": 0.0},
         {"mu_list": (0.1,), "l_min": 10.0, "l_max": 5.0},
@@ -120,6 +118,9 @@ def small_sweep(tmp_path=None, fmt="csv", attacks=("bs", "active")):
         {"mu_list": (math.nan,)},
         {"mu_list": (math.inf,)},
         {"mu_list": (0.1,), "delta": math.inf},
+        {"mu_list": (0.1, 0.2, 0.1)},
+        {"mu_list": (1, 1.0)},
+        {"mu_list": (0.1,), "attacks": ("bs", "active", "bs")},
     ],
 )
 def test_sweep_spec_validation(kwargs, tmp_path, monkeypatch):
@@ -131,6 +132,22 @@ def test_sweep_spec_validation(kwargs, tmp_path, monkeypatch):
     out = tmp_path / "table"
     with pytest.raises(ValueError):
         sweep_qber_curves(**kwargs, output_path=str(out))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--mu", "0.1,0.1"], "source intensity 0.1 is repeated"),
+        (["--mu", "0.5,0.1,0.50"], "source intensity 0.5 is repeated"),
+        (["--attacks", "bs,bs"], "attack 'bs' is repeated"),
+    ],
+)
+def test_a_repeated_intensity_or_attack_is_rejected(argv, message, tmp_path, capsys):
+    # one row per (mu, length): a repeated mu would write each of its rows twice
+    out = tmp_path / "x.csv"
+    assert cli.main(["qber-curves", *argv, "--length", "0:1:1", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -196,7 +213,7 @@ def test_length_grid_allows_the_cap():
 
 def test_library_sweeps_reject_infinite_lengths():
     with pytest.raises(ValueError, match="finite"):
-        sweep_optimal_intensity(0.2, 0.1, 0.0, math.inf, 1.0)
+        sweep_optimal_intensity(0.2, 0.0, math.inf, 1.0)
     with pytest.raises(ValueError, match="finite"):
         sweep_qber_curves((0.1,), l_max=math.inf)
     with pytest.raises(ValueError, match="cap"):
@@ -236,12 +253,10 @@ def test_qber_sweep_shape_and_endpoints():
 
 
 def test_qber_sweep_sorts_rows_by_mu_then_length():
-    # A repeated mu yields its rows twice; sorting is stable, so the equal
-    # (mu, length) keys of the two copies sit next to each other.
     lengths = length_grid(0.0, 60.0, 7.5)
-    rows = sweep_qber_curves((0.5, 0.1, 0.5, 0.02), l_min=0.0, l_max=60.0, l_step=7.5)
+    rows = sweep_qber_curves((0.5, 0.1, 0.02), l_min=0.0, l_max=60.0, l_step=7.5)
     expected = []
-    for mu, copies in ((0.02, 1), (0.1, 1), (0.5, 2)):
+    for mu in (0.02, 0.1, 0.5):
         params = ProtocolParams(mu=mu, decoy_fraction=0.1, delta=0.2)
         for length in lengths:
             active = active_attack(params, length)
@@ -256,8 +271,8 @@ def test_qber_sweep_sorts_rows_by_mu_then_length():
                 fully_insecure=active.fully_insecure,
                 margin=key_rate_margin(params, length),
             )
-            expected.extend([row] * copies)
-    assert len(rows) == len(expected) == 4 * len(lengths)
+            expected.append(row)
+    assert len(rows) == len(expected) == 3 * len(lengths)
     assert all(rows_equal(a, b) for a, b in zip(rows, expected))
 
 
@@ -353,7 +368,7 @@ def test_csv_writer_matches_the_csv_module_on_qber_sweeps(attacks, tmp_path):
 
 
 def test_csv_writer_matches_the_csv_module_on_optimal_intensity_sweep(tmp_path):
-    rows = sweep_optimal_intensity(0.2, 0.1, 0.0, 120.0, 2.5)
+    rows = sweep_optimal_intensity(0.2, 0.0, 120.0, 2.5)
     assert_written_as_oracle(tmp_path, rows)
 
 
@@ -412,7 +427,7 @@ def test_write_sweep_unwritable_path_has_context():
 
 
 def test_optimal_intensity_sweep_rows():
-    rows = sweep_optimal_intensity(0.2, 0.1, 10.0, 60.0, 10.0)
+    rows = sweep_optimal_intensity(0.2, 10.0, 60.0, 10.0)
     assert [r.length_km for r in rows] == [10.0, 20.0, 30.0, 40.0, 50.0, 60.0]
     for row in rows:
         assert row.mu_opt == row.mu
@@ -430,7 +445,7 @@ def test_optimal_intensity_sweep_rows():
 @pytest.mark.parametrize("delta", [0.2, 0.35])
 def test_optimal_intensity_sweep_margin_is_the_optimisers_margin(delta):
     # the rows take their margin from the plan, not from the optimiser
-    rows = sweep_optimal_intensity(delta, 0.1, 0.0, 300.0, 0.5)
+    rows = sweep_optimal_intensity(delta, 0.0, 300.0, 0.5)
     for row in rows:
         assert row.margin == optimal_source_intensity(delta, row.length_km).margin
 
@@ -474,8 +489,8 @@ def test_each_analysed_point_attenuates_only_in_its_channel_points(monkeypatch):
 
 
 def test_optimal_intensity_sweep_rejects_bad_range():
-    with pytest.raises(ValueError):
-        sweep_optimal_intensity(0.2, 0.1, 10.0, 5.0, 1.0)
+    with pytest.raises(ValueError, match="ends below its start"):
+        sweep_optimal_intensity(0.2, 10.0, 5.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +637,8 @@ def test_cli_qber_curves(tmp_path, capsys):
     assert "wrote 10 rows" in capsys.readouterr().out
     header, rows = read_csv_table(str(out))
     assert len(rows) == 10
-    assert header["decoy_fraction"] == f"{0.1:.17g}"  # default made explicit
+    assert header["delta"] == f"{0.2:.17g}"  # default made explicit
+    assert "decoy_fraction" not in header  # the simulator's setting; no column depends on it
 
 
 def test_cli_qber_curves_json(tmp_path):
@@ -642,7 +658,7 @@ def test_cli_optimal_intensity(tmp_path):
 
 def test_cli_attack_report(capsys):
     code = cli.main(
-        ["attack-report", "--mu", "0.5", "--delta", "0.2", "--length", "20", "--decoy-fraction", "0.1"]
+        ["attack-report", "--mu", "0.5", "--delta", "0.2", "--length", "20"]
     )
     assert code == 0
     text = capsys.readouterr().out
@@ -663,18 +679,17 @@ def log_uniform(lo, hi):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@example(mu=1e-300, length=1.0, delta=0.2, f=0.1)
-@example(mu=5e-324, length=1.0, delta=0.2, f=0.1)
+@example(mu=1e-300, length=1.0, delta=0.2)
+@example(mu=5e-324, length=1.0, delta=0.2)
 @given(
     mu=log_uniform(5e-324, 1e300),
     length=st.just(0.0) | log_uniform(1e-300, 1e6),
     delta=log_uniform(1e-300, 1e300),
-    f=st.floats(0.0, 0.999),
 )
-def test_cli_attack_report_never_raises(mu, length, delta, f):
+def test_cli_attack_report_never_raises(mu, length, delta):
     argv = ["attack-report", "--mu", repr(mu), "--length", repr(length), "--delta", repr(delta)]
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        assert cli.main(argv + ["--decoy-fraction", repr(f)]) in (0, 2)
+        assert cli.main(argv) in (0, 2)
 
 
 def test_cli_invalid_arguments_exit_2(tmp_path, capsys):
