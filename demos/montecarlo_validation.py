@@ -15,8 +15,10 @@ from cowsec.sweeps import run_montecarlo_validation
 
 def main() -> None:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 42
-    params = ProtocolParams(mu=0.2, decoy_fraction=0.1, delta=0.2)
-    report = run_montecarlo_validation(params, length_km=20.0, n_pulses=1_000_000, seed=seed)
+    params = ProtocolParams(mu=0.2, delta=0.2)
+    report = run_montecarlo_validation(
+        params, length_km=20.0, decoy_fraction=0.1, n_pulses=1_000_000, seed=seed
+    )
 
     plan = report.distortion.plan
     print(f"seed {seed}: Eve diverts {plan.mu_e:g}, blocks {plan.block_fraction:.4f}, "

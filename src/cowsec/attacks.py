@@ -236,9 +236,9 @@ def optimal_source_intensity(delta: float, length_km: float) -> OptimalIntensity
     (0, MU_SEARCH_MAX]; bisection finds it. mu* is clipped to
     MU_SEARCH_MAX, which binds below about 5 km at 0.2 dB/km, where the
     unconstrained optimum is brighter (unbounded at 0 km). The margin is
-    key_rate_margin at mu*, which the decoy fraction does not enter; a
-    margin of 0 (e.g. when the long-channel optimum is too dim for double
-    precision to resolve) is returned, not raised.
+    key_rate_margin at mu*; a margin of 0 (e.g. when the long-channel
+    optimum is too dim for double precision to resolve) is returned, not
+    raised.
     """
     t = attenuate(1.0, delta, length_km)
     if t >= 0.5:

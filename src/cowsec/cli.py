@@ -148,8 +148,10 @@ def _cmd_attack_report(args: argparse.Namespace) -> int:
 def _cmd_validate_mc(args: argparse.Namespace) -> int:
     from .sweeps import _write_report, run_montecarlo_validation
 
-    params = ProtocolParams(mu=args.mu, decoy_fraction=args.decoy_fraction, delta=args.delta)
-    report = run_montecarlo_validation(params, args.length, args.pulses, args.seed)
+    params = ProtocolParams(mu=args.mu, delta=args.delta)
+    report = run_montecarlo_validation(
+        params, args.length, args.decoy_fraction, args.pulses, args.seed
+    )
     _write_report(report, args.out)
     if args.out is not None:
         print(f"wrote {args.out} ({report.verdict})")

@@ -33,7 +33,6 @@ _BAND_EPS = 16.0 * sys.float_info.epsilon
 
 class _ProtocolParamsFields(NamedTuple):
     mu: float
-    decoy_fraction: float
     delta: float
 
 
@@ -41,21 +40,20 @@ class ProtocolParams(_ProtocolParamsFields):
     """Legitimate-user configuration of the COW link.
 
     mu is the source intensity (mean photon number of the occupied time
-    slot), decoy_fraction the probability that a transmitted pulse pair is
-    a decoy, and delta the fibre attenuation coefficient in dB/km. Checked
-    on construction, also through _replace and _make.
+    slot) and delta the fibre attenuation coefficient in dB/km. Checked on
+    construction, also through _replace and _make. The closed forms need
+    nothing else; the decoy fraction enters only the pulse-level simulator,
+    which takes it as an argument of its own.
     """
 
     __slots__ = ()
 
-    def __new__(cls, mu: float, decoy_fraction: float = 0.1, delta: float = 0.2) -> ProtocolParams:
+    def __new__(cls, mu: float, delta: float = 0.2) -> ProtocolParams:
         if not 0 < mu < math.inf:
             raise ValueError(f"source intensity must be positive and finite, got {mu}")
-        if not 0.0 <= decoy_fraction < 1.0:
-            raise ValueError(f"decoy fraction must lie in [0, 1), got {decoy_fraction}")
         if not 0 < delta < math.inf:
             raise ValueError(f"attenuation coefficient must be positive and finite, got {delta}")
-        return super().__new__(cls, mu, decoy_fraction, delta)
+        return super().__new__(cls, mu, delta)
 
     @classmethod
     def _make(cls, iterable: Iterable[float]) -> ProtocolParams:  # _replace builds through _make

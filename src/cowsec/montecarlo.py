@@ -5,10 +5,12 @@ state of intensity mu is vacuum with probability exp(-mu), so each
 detector slot is an exact Bernoulli(1 - exp(-mu)) draw rather than an
 approximation. The simulator cross-validates the analytic attack
 formulas and exposes the detection-pattern distortion that active
-blocking imprints on the decoy statistics. The attacked entry points
-take Eve's one free parameter, the diverted intensity mu_e (None for her
-optimum), and run the closed forms' plan active_plan(params, length_km,
-mu_e), in which b is the share of information pulses Eve blocks.
+blocking imprints on the decoy statistics. Each entry point takes the
+decoy fraction f, which no closed form reads, as a required argument
+after the length. The attacked entry points take Eve's one free
+parameter, the diverted intensity mu_e (None for her optimum), and run
+the closed forms' plan active_plan(params, length_km, mu_e), in which b
+is the share of information pulses Eve blocks.
 
 Randomness is counter-based: every draw is SplitMix64(seed, pulse
 index, draw slot), so a pulse's outcome depends only on the seed and its
@@ -258,6 +260,8 @@ def _simulate(
     f: float, p_bob: float, p_eve: float, beta: float, n_pulses: int, seed: int, first_pulse: int
 ) -> TrialStats:
     """Run the chunk kernel over n_pulses pulses from first_pulse on and tally them per class."""
+    if not 0.0 <= f < 1.0:
+        raise ValueError(f"decoy fraction must lie in [0, 1), got {f}")
     if n_pulses < 1:
         raise ValueError(f"need at least one pulse, got n_pulses = {n_pulses}")
     if first_pulse < 0:
@@ -296,22 +300,25 @@ def _simulate(
 def simulate_no_attack(
     params: ProtocolParams,
     length_km: float,
+    decoy_fraction: float,
     n_pulses: int,
     seed: int,
     first_pulse: int = 0,
 ) -> TrialStats:
     """Simulate the plain lossy link: every pulse attenuated to mu_b.
 
+    A pulse is a decoy with probability decoy_fraction, in [0, 1).
     Information pulses populate one of Bob's two slots, decoys both; the
     slots click independently.
     """
     p_click = -math.expm1(-channel_point(params, length_km).mu_b)
-    return _simulate(params.decoy_fraction, p_click, 0.0, 0.0, n_pulses, seed, first_pulse)
+    return _simulate(decoy_fraction, p_click, 0.0, 0.0, n_pulses, seed, first_pulse)
 
 
 def simulate_active_attack(
     params: ProtocolParams,
     length_km: float,
+    decoy_fraction: float,
     n_pulses: int,
     seed: int,
     first_pulse: int = 0,
@@ -330,21 +337,20 @@ def simulate_active_attack(
     plan = active_plan(params, length_km, mu_e)
     p_bob = -math.expm1(-plan.mu_b_prime)
     beta = blocking_probability(plan)
-    return _simulate(
-        params.decoy_fraction, p_bob, plan.p_conc_inf, beta, n_pulses, seed, first_pulse
-    )
+    return _simulate(decoy_fraction, p_bob, plan.p_conc_inf, beta, n_pulses, seed, first_pulse)
 
 
 def _stream_pair(
     params: ProtocolParams,
     length_km: float,
+    decoy_fraction: float,
     n_pulses: int,
     seed: int,
     mu_e: Optional[float] = None,
 ) -> Tuple[TrialStats, TrialStats]:
     """The attacked run at seed and the unattacked baseline at _baseline_seed(seed)."""
-    attacked = simulate_active_attack(params, length_km, n_pulses, seed, mu_e=mu_e)
-    baseline = simulate_no_attack(params, length_km, n_pulses, _baseline_seed(seed))
+    attacked = simulate_active_attack(params, length_km, decoy_fraction, n_pulses, seed, mu_e=mu_e)
+    baseline = simulate_no_attack(params, length_km, decoy_fraction, n_pulses, _baseline_seed(seed))
     return attacked, baseline
 
 
@@ -395,6 +401,7 @@ class DistortionReport(NamedTuple):
 def decoy_distortion(
     params: ProtocolParams,
     length_km: float,
+    decoy_fraction: float,
     n_pulses: int,
     seed: int,
     mu_e: Optional[float] = None,
@@ -415,7 +422,7 @@ def decoy_distortion(
     (mu_b_prime = mu_b, b = 0), which distorts nothing and never flags.
     The report carries that plan, from which its expected cells come.
     """
-    attacked, baseline = _stream_pair(params, length_km, n_pulses, seed, mu_e)
+    attacked, baseline = _stream_pair(params, length_km, decoy_fraction, n_pulses, seed, mu_e)
     plan = active_plan(params, length_km, mu_e)
     expect_no = _pattern_probabilities(plan.p_lossy_click, 0.0, 0.0)
     # Eve blocks inconclusive pulses at beta and finds decoys inconclusive
@@ -428,7 +435,7 @@ def decoy_distortion(
 
     rows = []
     for name, att_tally in attacked.classes():
-        if name == "decoy" and params.decoy_fraction == 0.0:
+        if name == "decoy" and decoy_fraction == 0.0:
             continue
         base_tally = getattr(baseline, name)
         cells = zip(

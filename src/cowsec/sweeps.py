@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, lt
 from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__
@@ -117,7 +117,9 @@ def length_grid(l_min: float, l_max: float, l_step: float) -> List[float]:
 
     Raises ValueError for non-finite bounds, a step that is not positive,
     a negative start, an end below the start or a grid of more than
-    _MAX_GRID_POINTS points, before building it.
+    _MAX_GRID_POINTS points, before building it, and for a grid that
+    repeats a length, where the step is below the spacing of floats at
+    its lengths (1e16:1e16+4:1 would give 1e16 twice), after.
     """
     grid = f"length range {l_min}:{l_max}:{l_step}"
     if not all(map(math.isfinite, (l_min, l_max, l_step))):
@@ -131,7 +133,10 @@ def length_grid(l_min: float, l_max: float, l_step: float) -> List[float]:
     steps = (l_max - l_min) / l_step + 1e-9
     if not steps < _MAX_GRID_POINTS:
         raise ValueError(f"{grid} has more than {_MAX_GRID_POINTS} points, the cap on a sweep grid")
-    return [l_min + k * l_step for k in range(int(math.floor(steps)) + 1)]
+    lengths = [l_min + k * l_step for k in range(int(math.floor(steps)) + 1)]
+    if not all(map(lt, lengths, lengths[1:])):
+        raise ValueError(f"{grid} repeats a length: its step is finer than floats resolve there")
+    return lengths
 
 
 def _check_distinct(what: str, values: Iterable[object]) -> None:
@@ -367,9 +372,12 @@ def _make_check(name: str, count: int, n_eff: int, expected: float) -> CheckResu
 
 
 def run_montecarlo_validation(
-    params: ProtocolParams, length_km: float, n_pulses: int, seed: int
+    params: ProtocolParams, length_km: float, decoy_fraction: float, n_pulses: int, seed: int
 ) -> ValidationReport:
     """Simulate the link at Eve's optimal plan and compare every rate to theory.
+
+    A pulse is a decoy with probability decoy_fraction, in [0, 1); the
+    report's config lists it between mu and delta.
 
     Checks Bob's information-state click rate against the rate the plan
     delivers, (1 - b)(1 - exp(-mu_b_prime)), Eve's conclusive rate, the
@@ -385,12 +393,12 @@ def run_montecarlo_validation(
     """
     from . import montecarlo
 
-    attacked, baseline = montecarlo._stream_pair(params, length_km, n_pulses, seed)
-    distortion = montecarlo.decoy_distortion(params, length_km, n_pulses, seed)
+    attacked, baseline = montecarlo._stream_pair(params, length_km, decoy_fraction, n_pulses, seed)
+    distortion = montecarlo.decoy_distortion(params, length_km, decoy_fraction, n_pulses, seed)
     plan = distortion.plan
     cells = {(r.pulse_class, r.pattern): r for r in distortion.rows}
     single = cells["bit0", "single"]
-    p_double = cells["decoy", "double"].expected_no_attack if params.decoy_fraction > 0 else None
+    p_double = cells["decoy", "double"].expected_no_attack if decoy_fraction > 0 else None
     base, att, decoy = baseline.info, attacked.info, baseline.decoy
     # (name, count, trials, expected) in report order; a rate of None (no decoys) is not checked
     rows = (
@@ -403,5 +411,12 @@ def run_montecarlo_validation(
     )
     checks = tuple(_make_check(*row) for row in rows if row[3] is not None)
 
-    config = {**params._asdict(), "length_km": length_km, "n_pulses": n_pulses, "seed": seed}
+    config = {
+        "mu": params.mu,
+        "decoy_fraction": decoy_fraction,
+        "delta": params.delta,
+        "length_km": length_km,
+        "n_pulses": n_pulses,
+        "seed": seed,
+    }
     return ValidationReport(config, checks, distortion)

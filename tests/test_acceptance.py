@@ -34,8 +34,8 @@ def verdict(number: int, description: str, ok: bool) -> None:
     assert ok, f"criterion {number:02d} failed: {description}"
 
 
-def params(mu, f=0.1, delta=0.2):
-    return ProtocolParams(mu=mu, decoy_fraction=f, delta=delta)
+def params(mu, delta=0.2):
+    return ProtocolParams(mu=mu, delta=delta)
 
 
 def test_criterion_01_critical_length():
@@ -169,7 +169,7 @@ def test_criterion_07_entropy_inverse_round_trip():
 
 def test_criterion_08_montecarlo_cross_validation():
     p = params(0.2)
-    report = run_montecarlo_validation(p, 20.0, 1_000_000, 42)
+    report = run_montecarlo_validation(p, 20.0, 0.1, 1_000_000, 42)
     wanted = {
         "attack_bob_info_click_rate",
         "attack_eve_conclusive_info_rate",
@@ -183,10 +183,10 @@ def test_criterion_08_montecarlo_cross_validation():
     assert half_plan.mu_e == 0.1  # the mu/2 branch at this length
     flagged = {
         (r.pulse_class, r.pattern)
-        for r in decoy_distortion(p, 20.0, 1_000_000, 42).flagged_rows()
+        for r in decoy_distortion(p, 20.0, 0.1, 1_000_000, 42).flagged_rows()
     }
     full_budget = channel_point(p, 20.0).mu_e_max
-    silent = not decoy_distortion(p, 20.0, 1_000_000, 42, mu_e=full_budget).flagged_rows()
+    silent = not decoy_distortion(p, 20.0, 0.1, 1_000_000, 42, mu_e=full_budget).flagged_rows()
 
     ok = rates_ok and ("decoy", "double") in flagged and silent
     zs = ", ".join(f"{by_name[n].name}:z={by_name[n].z:+.2f}" for n in sorted(wanted))

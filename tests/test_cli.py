@@ -186,6 +186,8 @@ def test_fresh_process_prints_the_oracle_text(argv, monkeypatch, capsys):
         # ProtocolParams checks every intensity before the first row
         (["qber-curves", "--length", "0:10:5", "--mu", "nan"], "source intensity"),
         (["qber-curves", "--length", "0:10:5", "--mu", "inf"], "source intensity"),
+        # the step is finer than floats resolve at 1e16 km: 1e16 would appear twice
+        (["qber-curves", "--length", "1e16:10000000000000004:1", "--mu", "x"], "repeats a length"),
     ],
 )
 def test_a_bad_length_grid_is_reported_before_a_bad_mu(argv, message, tmp_path, capsys):

@@ -233,12 +233,12 @@ def test_channel_point_fields():
     [
         {"mu": 0.0},
         {"mu": -0.2},
-        {"mu": 0.5, "decoy_fraction": -0.01},
-        {"mu": 0.5, "decoy_fraction": 1.0},
+        {"mu": -math.inf},
+        {"mu": 0.5, "delta": -0.2},
         {"mu": 0.5, "delta": 0.0},
         {"mu": math.nan},
         {"mu": math.inf},
-        {"mu": 0.5, "decoy_fraction": math.nan},
+        {"mu": 0.5, "delta": -math.inf},
         {"mu": 0.5, "delta": math.nan},
         {"mu": 0.5, "delta": math.inf},
     ],
@@ -248,7 +248,7 @@ def test_protocol_params_validation(kwargs):
         ProtocolParams(**kwargs)
 
 
-@pytest.mark.parametrize("kwargs", [{"mu": -1.0}, {"decoy_fraction": 1.0}, {"delta": math.nan}])
+@pytest.mark.parametrize("kwargs", [{"mu": -1.0}, {"delta": 0.0}, {"delta": math.nan}])
 def test_protocol_params_validates_through_replace_and_make(kwargs):
     # namedtuple's _replace and _make build with tuple.__new__ unless _make is overridden
     params = ProtocolParams(0.2)

@@ -35,13 +35,15 @@ from cowsec.montecarlo import (
     simulate_active_attack,
     simulate_no_attack,
 )
+from cowsec.sweeps import run_montecarlo_validation
 
 N = 1_000_000
 SEED = 42
+F = 0.1  # the decoy fraction, the simulator's own argument; the CLI's default
 
 
-def params(mu, f=0.1, delta=0.2):
-    return ProtocolParams(mu=mu, decoy_fraction=f, delta=delta)
+def params(mu, delta=0.2):
+    return ProtocolParams(mu=mu, delta=delta)
 
 
 def assert_within_4_sigma(count, total, expected, label=""):
@@ -80,7 +82,7 @@ def test_no_attack_rates():
     p = params(0.2)
     point = channel_point(p, 20.0)
     p_click = -math.expm1(-point.mu_b)
-    stats = simulate_no_attack(p, 20.0, N, SEED)
+    stats = simulate_no_attack(p, 20.0, F, N, SEED)
     info = stats.info
     assert_within_4_sigma(info.bob_click, info.sent, p_click, "info click")
     assert_within_4_sigma(
@@ -93,7 +95,7 @@ def test_no_attack_rates():
         "decoy single",
     )
     # class mix
-    assert_within_4_sigma(stats.decoy.sent, N, p.decoy_fraction, "decoy fraction")
+    assert_within_4_sigma(stats.decoy.sent, N, F, "decoy fraction")
     assert_within_4_sigma(stats.bit0.sent, N, 0.45, "bit0 fraction")
     # information states occupy one slot, they can never double-click
     assert info.bob_double_click == 0
@@ -101,7 +103,7 @@ def test_no_attack_rates():
 
 
 def test_no_attack_without_decoys():
-    stats = simulate_no_attack(params(0.2, f=0.0), 20.0, 50_000, SEED)
+    stats = simulate_no_attack(params(0.2), 20.0, 0.0, 50_000, SEED)
     assert stats.decoy.sent == 0
     assert stats.bit0.sent + stats.bit1.sent == 50_000
 
@@ -115,7 +117,7 @@ def test_no_attack_without_decoys():
 def test_active_attack_grid_rates(mu, length):
     p = params(mu)
     plan = active_plan(p, length)
-    stats = simulate_active_attack(p, length, N, SEED)
+    stats = simulate_active_attack(p, length, F, N, SEED)
     info = stats.info
     expect = policy_expectations(p, length, plan)
     block_decoy = math.exp(-2.0 * plan.mu_e) * blocking_probability(plan)
@@ -147,7 +149,7 @@ def test_active_attack_budget_identities_at_moderate_point():
     # identities hold
     p = params(0.2)
     plan = active_plan(p, 20.0)
-    stats = simulate_active_attack(p, 20.0, N, SEED)
+    stats = simulate_active_attack(p, 20.0, F, N, SEED)
     info = stats.info
     point = channel_point(p, 20.0)
     assert_within_4_sigma(info.bob_click, info.sent, -math.expm1(-point.mu_b), "budget click")
@@ -165,25 +167,26 @@ def test_active_attack_budget_identities_at_moderate_point():
 
 def test_simulations_are_deterministic():
     p = params(0.2)
-    a = simulate_active_attack(p, 20.0, 200_000, SEED)
-    b = simulate_active_attack(p, 20.0, 200_000, SEED)
+    a = simulate_active_attack(p, 20.0, F, 200_000, SEED)
+    b = simulate_active_attack(p, 20.0, F, 200_000, SEED)
     assert a == b
-    assert simulate_no_attack(p, 20.0, 200_000, SEED) == simulate_no_attack(p, 20.0, 200_000, SEED)
+    c = simulate_no_attack(p, 20.0, F, 200_000, SEED)
+    assert c == simulate_no_attack(p, 20.0, F, 200_000, SEED)
 
 
 def test_partition_independence():
     p = params(0.2)
-    whole = simulate_active_attack(p, 20.0, 300_000, SEED)
+    whole = simulate_active_attack(p, 20.0, F, 300_000, SEED)
     parts = [
-        simulate_active_attack(p, 20.0, n, SEED, first_pulse=start)
+        simulate_active_attack(p, 20.0, F, n, SEED, first_pulse=start)
         for start, n in ((0, 77_777), (77_777, 150_000), (227_777, 72_223))
     ]
     assert merged(*parts) == whole
     assert [pulses(part) for part in parts] == [77_777, 150_000, 72_223]
 
-    whole_base = simulate_no_attack(p, 20.0, 300_000, SEED)
-    half1 = simulate_no_attack(p, 20.0, 150_001, SEED)
-    half2 = simulate_no_attack(p, 20.0, 149_999, SEED, first_pulse=150_001)
+    whole_base = simulate_no_attack(p, 20.0, F, 300_000, SEED)
+    half1 = simulate_no_attack(p, 20.0, F, 150_001, SEED)
+    half2 = simulate_no_attack(p, 20.0, F, 149_999, SEED, first_pulse=150_001)
     assert merged(half1, half2) == whole_base
     assert pulses(whole) == pulses(whole_base) == 300_000
 
@@ -200,9 +203,9 @@ def test_partition_independence():
 def test_simulators_reject_an_empty_or_negative_pulse_range(n_pulses, first_pulse, name):
     p = params(0.2)
     with pytest.raises(ValueError, match=name):
-        simulate_no_attack(p, 20.0, n_pulses, SEED, first_pulse=first_pulse)
+        simulate_no_attack(p, 20.0, F, n_pulses, SEED, first_pulse=first_pulse)
     with pytest.raises(ValueError, match=name):
-        simulate_active_attack(p, 20.0, n_pulses, SEED, first_pulse=first_pulse)
+        simulate_active_attack(p, 20.0, F, n_pulses, SEED, first_pulse=first_pulse)
 
 
 @pytest.mark.parametrize("seed", [-5, -1, 2**64, 2**64 + 5])
@@ -210,11 +213,23 @@ def test_simulators_reject_a_seed_outside_64_bits(seed):
     # -5 would wrap to 2**64 - 5 and silently repeat that seed's streams
     p = params(0.2)
     with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}"):
-        simulate_no_attack(p, 20.0, 10, seed)
+        simulate_no_attack(p, 20.0, F, 10, seed)
     with pytest.raises(ValueError, match="seed"):
-        simulate_active_attack(p, 20.0, 10, seed)
+        simulate_active_attack(p, 20.0, F, 10, seed)
     with pytest.raises(ValueError, match="seed"):
-        decoy_distortion(p, 20.0, 10, seed)
+        decoy_distortion(p, 20.0, F, 10, seed)
+
+
+@pytest.mark.parametrize("f", [-0.01, 1.0, math.nan])
+def test_simulators_reject_a_decoy_fraction_outside_0_1(f):
+    # the decoy fraction is the simulator's own argument, checked where it enters
+    p = params(0.2)
+    message = rf"decoy fraction must lie in \[0, 1\), got {f}"
+    for simulate in (simulate_no_attack, simulate_active_attack, decoy_distortion):
+        with pytest.raises(ValueError, match=message):
+            simulate(p, 20.0, f, 10, SEED)
+    with pytest.raises(ValueError, match=message):
+        run_montecarlo_validation(p, 20.0, f, 10, SEED)
 
 
 # Exact counts: any change to the counter layout, the draw order, the
@@ -231,7 +246,7 @@ def _golden(n, bit0, bit1, decoy):
 
 
 def test_golden_counts_no_attack():
-    stats = simulate_no_attack(params(0.2), 20.0, GOLDEN_N, GOLDEN_SEED, first_pulse=5)
+    stats = simulate_no_attack(params(0.2), 20.0, F, GOLDEN_N, GOLDEN_SEED, first_pulse=5)
     assert stats == _golden(
         GOLDEN_N,
         (472309, 0, 0, 36558, 0, 0),
@@ -267,17 +282,18 @@ def test_golden_counts_active_attack(length, block_fraction, counts):
     p = params(0.2)
     plan = active_plan(p, length)
     assert plan.block_fraction == block_fraction
-    stats = simulate_active_attack(p, length, GOLDEN_N, GOLDEN_SEED, first_pulse=5)
+    stats = simulate_active_attack(p, length, F, GOLDEN_N, GOLDEN_SEED, first_pulse=5)
     assert stats == _golden(GOLDEN_N, *counts)
 
 
 @pytest.mark.parametrize(
-    "p, length, mu_e, beta, counts",
+    "p, length, f, mu_e, beta, counts",
     [
         # f = 0: the information threshold 1 - f is 1, so every pulse is a bit
         pytest.param(
-            params(0.2, f=0.0),
+            params(0.2),
             20.0,
+            0.0,
             None,
             0.2163416139226735,
             (
@@ -291,6 +307,7 @@ def test_golden_counts_active_attack(length, block_fraction, counts):
         pytest.param(
             params(0.5),
             60.0,
+            F,
             None,
             1.0,
             (
@@ -304,6 +321,7 @@ def test_golden_counts_active_attack(length, block_fraction, counts):
         pytest.param(
             params(0.2),
             20.0,
+            F,
             0.0,
             0.5777875817487259,
             (
@@ -315,10 +333,10 @@ def test_golden_counts_active_attack(length, block_fraction, counts):
         ),
     ],
 )
-def test_golden_counts_kernel_branches(p, length, mu_e, beta, counts):
+def test_golden_counts_kernel_branches(p, length, f, mu_e, beta, counts):
     plan = active_plan(p, length, mu_e)
     assert blocking_probability(plan) == beta
-    stats = simulate_active_attack(p, length, GOLDEN_N, GOLDEN_SEED, first_pulse=5, mu_e=mu_e)
+    stats = simulate_active_attack(p, length, f, GOLDEN_N, GOLDEN_SEED, first_pulse=5, mu_e=mu_e)
     assert stats == _golden(GOLDEN_N, *counts)
 
 
@@ -419,8 +437,8 @@ def test_tallies_do_not_depend_on_the_chunk_size(monkeypatch):
         monkeypatch.setattr(montecarlo, "_CHUNK", 1 << chunk_bits)
         runs.append(
             (
-                simulate_active_attack(p, 20.0, GOLDEN_N, GOLDEN_SEED, first_pulse=5),
-                simulate_no_attack(p, 20.0, GOLDEN_N, GOLDEN_SEED, first_pulse=5),
+                simulate_active_attack(p, 20.0, F, GOLDEN_N, GOLDEN_SEED, first_pulse=5),
+                simulate_no_attack(p, 20.0, F, GOLDEN_N, GOLDEN_SEED, first_pulse=5),
             )
         )
     assert runs[0] == runs[1] == runs[2]
@@ -456,24 +474,24 @@ def scalar_simulate(f, p_bob, p_eve, beta, n, seed, first):
     return TrialStats(*(ClassTally(*counts[name]) for name in TrialStats._fields))
 
 
-# The kernel's branches: (params, length, mu_e) of an attacked run and its
-# lossy-line baseline.
+# The kernel's branches: (params, length, decoy fraction, mu_e) of an
+# attacked run and its lossy-line baseline.
 KERNEL_BRANCHES = {
-    "default": (params(0.2), 20.0, None),
-    "no-decoys": (params(0.2, f=0.0), 20.0, None),
-    "cap": (params(0.5), 60.0, None),
-    "blocking-without-eve": (params(0.2), 20.0, 0.0),
-    "full-budget": (params(0.2), 5.0, None),
-    "bright-half-decoys": (params(1.0, f=0.5), 40.0, None),
+    "default": (params(0.2), 20.0, F, None),
+    "no-decoys": (params(0.2), 20.0, 0.0, None),
+    "cap": (params(0.5), 60.0, F, None),
+    "blocking-without-eve": (params(0.2), 20.0, F, 0.0),
+    "full-budget": (params(0.2), 5.0, F, None),
+    "bright-half-decoys": (params(1.0), 40.0, 0.5, None),
 }
 
 
-def scalar_streams(p, length, mu_e, n, seed, first):
+def scalar_streams(p, length, f, mu_e, n, seed, first):
     """scalar_simulate's attacked and lossy-line tallies, with the simulators' probabilities."""
     plan = active_plan(p, length, mu_e)
     p_bob = -math.expm1(-plan.mu_b_prime)
     p_lossy = -math.expm1(-channel_point(p, length).mu_b)
-    f, beta = p.decoy_fraction, blocking_probability(plan)
+    beta = blocking_probability(plan)
     return (
         scalar_simulate(f, p_bob, plan.p_conc_inf, beta, n, seed, first),
         scalar_simulate(f, p_lossy, 0.0, 0.0, n, seed, first),
@@ -483,21 +501,21 @@ def scalar_streams(p, length, mu_e, n, seed, first):
 @pytest.mark.parametrize("branch", KERNEL_BRANCHES)
 def test_tallies_match_the_scalar_pulse_model(branch):
     # 4,096 pulses from pulse 2^16 - 1000, bit for bit, at three seeds
-    p, length, mu_e = KERNEL_BRANCHES[branch]
+    p, length, f, mu_e = KERNEL_BRANCHES[branch]
     n, first = 4096, 2**16 - 1000
     for seed in (2016, 0, 2**64 - 1):
-        attacked = simulate_active_attack(p, length, n, seed, first, mu_e)
-        lossy = simulate_no_attack(p, length, n, seed, first)
-        assert (attacked, lossy) == scalar_streams(p, length, mu_e, n, seed, first), seed
+        attacked = simulate_active_attack(p, length, f, n, seed, first, mu_e)
+        lossy = simulate_no_attack(p, length, f, n, seed, first)
+        assert (attacked, lossy) == scalar_streams(p, length, f, mu_e, n, seed, first), seed
 
 
 def test_chunked_tallies_match_the_scalar_pulse_model(monkeypatch):
     # five chunks of 1,000 pulses and a last one of 96
     monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
-    p, length, mu_e = KERNEL_BRANCHES["default"]
-    attacked = simulate_active_attack(p, length, 4096, 7, 2**16 - 1000)
-    lossy = simulate_no_attack(p, length, 4096, 7, 2**16 - 1000)
-    assert (attacked, lossy) == scalar_streams(p, length, mu_e, 4096, 7, 2**16 - 1000)
+    p, length, f, mu_e = KERNEL_BRANCHES["default"]
+    attacked = simulate_active_attack(p, length, f, 4096, 7, 2**16 - 1000)
+    lossy = simulate_no_attack(p, length, f, 4096, 7, 2**16 - 1000)
+    assert (attacked, lossy) == scalar_streams(p, length, f, mu_e, 4096, 7, 2**16 - 1000)
 
 
 def test_simulation_memory_stays_chunk_sized():
@@ -505,7 +523,7 @@ def test_simulation_memory_stays_chunk_sized():
     p = params(0.2)
     tracemalloc.start()
     try:
-        simulate_active_attack(p, 20.0, 2**20, SEED)
+        simulate_active_attack(p, 20.0, F, 2**20, SEED)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -525,7 +543,7 @@ def test_beam_splitter_arms_are_independent():
     p = params(0.2)
     plan = active_plan(p, 20.0)
     is_info, _, eve, _, bob_raw_early, bob_raw_late = _pulse_outcomes(
-        p.decoy_fraction,
+        F,
         -math.expm1(-plan.mu_b_prime),
         -math.expm1(-plan.mu_e),
         blocking_probability(plan),
@@ -553,7 +571,7 @@ def test_capped_plan_with_decoys_blocks_everything_inconclusive():
     plan = active_plan(p, 60.0)
     assert plan.block_fraction == 1.0 - plan.p_conc_inf
     assert blocking_probability(plan) == 1.0
-    stats = simulate_active_attack(p, 60.0, 200_000, SEED)
+    stats = simulate_active_attack(p, 60.0, F, 200_000, SEED)
     for _, tally in stats.classes():
         assert tally.blocked == tally.sent - tally.eve_conclusive
     info = stats.info
@@ -564,19 +582,19 @@ def test_plan_forwarding_above_the_source_is_rejected_at_tiny_intensity():
     # Every check on mu_e scales with mu: at mu = 1e-10 an absolute
     # tolerance of 1e-9 would let Eve divert, or forward, 3x the source.
     p = params(1e-10)
-    assert pulses(simulate_active_attack(p, 40.0, 1000, SEED)) == 1000
+    assert pulses(simulate_active_attack(p, 40.0, F, 1000, SEED)) == 1000
     for mu_e in (3e-10, -2e-10):  # the second forwards mu - mu_e = 3e-10
         with pytest.raises(ValueError, match="mu_e"):
-            simulate_active_attack(p, 40.0, 1000, SEED, mu_e=mu_e)
+            simulate_active_attack(p, 40.0, F, 1000, SEED, mu_e=mu_e)
 
 
 @pytest.mark.parametrize("mu_e", [1.0, math.nan], ids=["over_budget", "nan"])  # budget 0.12
 def test_simulators_reject_a_diverted_intensity_outside_the_budget(mu_e):
     p = params(0.2)
     with pytest.raises(ValueError, match="mu_e"):
-        simulate_active_attack(p, 20.0, 1000, SEED, mu_e=mu_e)
+        simulate_active_attack(p, 20.0, F, 1000, SEED, mu_e=mu_e)
     with pytest.raises(ValueError, match="mu_e"):
-        decoy_distortion(p, 20.0, 1000, SEED, mu_e=mu_e)
+        decoy_distortion(p, 20.0, F, 1000, SEED, mu_e=mu_e)
 
 
 def exp10(lo, hi):
@@ -595,16 +613,16 @@ def exp10(lo, hi):
     share=st.none() | st.just(1.0) | st.floats(0.0, 1.0),
 )
 def test_simulator_accepts_every_plan_active_plan_builds(mu, f, delta, length, share):
-    p = params(mu, f=f, delta=delta)
+    p = params(mu, delta=delta)
     mu_e = None if share is None else share * channel_point(p, length).mu_e_max
-    assert pulses(simulate_active_attack(p, length, 64, SEED, mu_e=mu_e)) == 64
+    assert pulses(simulate_active_attack(p, length, f, 64, SEED, mu_e=mu_e)) == 64
 
 
 def test_capped_plan_without_decoys_blocks_everything_inconclusive():
-    p = params(0.5, f=0.0)
+    p = params(0.5)
     plan = active_plan(p, 60.0)
     assert blocking_probability(plan) == 1.0
-    stats = simulate_active_attack(p, 60.0, 200_000, SEED)
+    stats = simulate_active_attack(p, 60.0, 0.0, 200_000, SEED)
     info = stats.info
     assert info.blocked == info.sent - info.eve_conclusive
     # every delivered sifted bit is known to Eve
@@ -648,7 +666,7 @@ def test_distortion_flags_decoy_double_for_half_intensity_plan():
     p = params(0.2)
     plan = active_plan(p, 20.0)
     assert plan.mu_e == 0.1  # mu/2 branch, forwarded intensity above mu_b
-    report = decoy_distortion(p, 20.0, N, SEED)
+    report = decoy_distortion(p, 20.0, F, N, SEED)
     flagged = {(r.pulse_class, r.pattern) for r in report.flagged_rows()}
     assert ("decoy", "double") in flagged
     # empirical attack frequencies agree with the policy closed forms
@@ -661,7 +679,7 @@ def test_distortion_flags_decoy_double_for_half_intensity_plan():
 def test_distortion_silent_for_full_budget_plan():
     p = params(0.2)
     point = channel_point(p, 20.0)
-    report = decoy_distortion(p, 20.0, N, SEED, mu_e=point.mu_e_max)
+    report = decoy_distortion(p, 20.0, F, N, SEED, mu_e=point.mu_e_max)
     assert not report.flagged_rows()
     # nothing distorted beyond statistical noise
     assert max(abs(r.z_observed) for r in report.rows) < 5.0
@@ -670,8 +688,7 @@ def test_distortion_silent_for_full_budget_plan():
 
 
 def test_distortion_report_without_decoys_has_no_decoy_rows():
-    p = params(0.2, f=0.0)
-    report = decoy_distortion(p, 20.0, 100_000, SEED)
+    report = decoy_distortion(params(0.2), 20.0, 0.0, 100_000, SEED)
     assert {r.pulse_class for r in report.rows} == {"bit0", "bit1"}
 
 
@@ -679,8 +696,8 @@ def test_distortion_z_is_nan_for_a_class_no_pulse_fell_in():
     # one pulse: the classes it missed observe nothing, so their observed
     # rates and z are NaN, and none is flagged
     p = params(0.2)
-    attacked = simulate_active_attack(p, 20.0, 1, SEED)
-    report = decoy_distortion(p, 20.0, 1, SEED)
+    attacked = simulate_active_attack(p, 20.0, F, 1, SEED)
+    report = decoy_distortion(p, 20.0, F, 1, SEED)
     assert len(report.rows) == 9
     for row in report.rows:
         empty = getattr(attacked, row.pulse_class).sent == 0

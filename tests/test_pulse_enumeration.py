@@ -69,7 +69,7 @@ def assert_close(closed, exact, b_class, label):
 
 
 def _grid():
-    """(params, length, mu_e) over every regime, three diverted intensities and f = 0.
+    """(params, decoy fraction f, length, mu_e) over every regime, three diverted intensities and f = 0.
 
     Per mu the lengths are 0 km, below and at the critical length, inside
     the blocking regime, within 1e-9 of the fully-insecure length L* on
@@ -79,7 +79,7 @@ def _grid():
     delta = 0.2
     l_crit = critical_length(delta)
     for mu, f in ((1e-3, 0.1), (0.05, 0.0), (0.2, 0.1), (1.0, 0.5), (3.0, 0.1), (0.2, 0.0)):
-        params = ProtocolParams(mu, f, delta)
+        params = ProtocolParams(mu, delta)
         l_star = fully_insecure_length(params)
         lengths = (
             0.0, l_crit / 2, l_crit, (l_crit + l_star) / 2,
@@ -88,22 +88,21 @@ def _grid():
         for length in lengths:
             half = active_plan(params, length).mu_e / 2
             for mu_e in (None, half, channel_point(params, length).mu_e_max):
-                yield params, length, mu_e
+                yield params, f, length, mu_e
 
 
 def test_closed_forms_equal_the_exact_one_pulse_enumeration():
     points = list(_grid())
     assert len(points) == 162
     regimes = set()
-    for params, length, mu_e in points:
-        label = (params.mu, params.decoy_fraction, length, mu_e)
-        report = decoy_distortion(params, length, 1, 0, mu_e)
+    for params, f, length, mu_e in points:
+        label = (params.mu, f, length, mu_e)
+        report = decoy_distortion(params, length, f, 1, 0, mu_e)
         plan = report.plan
         # beta from the plan's b directly, not through blocking_probability
         beta = Fraction(plan.block_fraction)
         if beta:
             beta /= 1 - Fraction(plan.p_conc_inf)
-        f = params.decoy_fraction
         attacked = enumerate_pulse(f, plan.p_conc_inf, beta, -math.expm1(-plan.mu_b_prime))
         mu_b = channel_point(params, length).mu_b
         unattacked = enumerate_pulse(f, 0.0, 0.0, -math.expm1(-mu_b))

@@ -4,11 +4,13 @@ import ast
 import csv
 import hashlib
 import importlib
+import inspect
 import io
 import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -157,7 +159,7 @@ def test_every_record_is_immutable():
 
     params = ProtocolParams(0.2)
     active = active_attack(params, 20.0)
-    report = run_montecarlo_validation(params, 20.0, 1000, 1)
+    report = run_montecarlo_validation(params, 20.0, 0.1, 1000, 1)
     records = [
         params, channel_point(params, 20.0), active.plan, active,
         optimal_source_intensity(0.2, 20.0), SweepRow(0.2, 20.0),
@@ -185,6 +187,7 @@ def test_length_grid_is_inclusive():
     assert len(length_grid(0.0, 150.0, 1.0)) == 151
     assert len(length_grid(1.0, 100.0, 1.0)) == 100
     assert length_grid(0.0, 1.0, 0.25) == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert len(set(length_grid(0.0, 150.0, 0.05))) == 3001  # the benchmark's grid
 
 
 @pytest.mark.parametrize(
@@ -204,6 +207,21 @@ def test_length_grid_is_inclusive():
 )
 def test_length_grid_rejects_bad_and_huge_ranges(bounds, fragment):
     with pytest.raises(ValueError, match=fragment):
+        length_grid(*bounds)
+
+
+@pytest.mark.parametrize(
+    "bounds, distinct",
+    [((1e12, 1e12 + 0.001, 1e-5), 9), ((1e16, 1e16 + 4, 1), 3)],
+)
+def test_length_grid_rejects_a_grid_that_repeats_a_length(bounds, distinct):
+    # the step is finer than the float spacing at these lengths, so k * step
+    # rounds some consecutive points onto one length, and each (mu, L) row
+    # would be written several times
+    points = [bounds[0] + k * bounds[2] for k in range(int((bounds[1] - bounds[0]) / bounds[2]) + 1)]
+    assert len(set(points)) == distinct < len(points)
+    grid = re.escape("length range " + ":".join(map(str, bounds)))
+    with pytest.raises(ValueError, match=f"^{grid} repeats a length"):
         length_grid(*bounds)
 
 
@@ -257,7 +275,7 @@ def test_qber_sweep_sorts_rows_by_mu_then_length():
     rows = sweep_qber_curves((0.5, 0.1, 0.02), l_min=0.0, l_max=60.0, l_step=7.5)
     expected = []
     for mu in (0.02, 0.1, 0.5):
-        params = ProtocolParams(mu=mu, decoy_fraction=0.1, delta=0.2)
+        params = ProtocolParams(mu=mu, delta=0.2)
         for length in lengths:
             active = active_attack(params, length)
             row = SweepRow(
@@ -435,7 +453,7 @@ def test_optimal_intensity_sweep_rows():
         if row.margin > 0.0:
             assert row.qber_active > 0.0
         # local re-check of the maximiser
-        params = lambda m: ProtocolParams(mu=m, decoy_fraction=0.1, delta=0.2)
+        params = lambda m: ProtocolParams(mu=m, delta=0.2)
         for shift in (-0.01, 0.01):
             mu = row.mu_opt + shift
             if 0.0 < mu <= 2.0:
@@ -456,7 +474,7 @@ def test_qber_sweep_columns_are_the_librarys_values_on_every_row():
     rows = sweep_qber_curves((0.02, 0.1, 0.5, 1.0, 1.9), l_max=150.0, l_step=0.5)
     assert any(row.fully_insecure for row in rows) and not all(row.fully_insecure for row in rows)
     for row in rows:
-        p = ProtocolParams(row.mu, 0.1, 0.2)
+        p = ProtocolParams(row.mu, delta=0.2)
         plan = active_plan(p, row.length_km)
         assert row.margin == key_rate_margin(p, row.length_km)
         assert (row.mu_e_opt, row.block_fraction) == (plan.mu_e, plan.block_fraction)
@@ -484,7 +502,7 @@ def test_each_analysed_point_attenuates_only_in_its_channel_points(monkeypatch):
     assert (len(rows), len(calls)) == (16, 32)
     calls.clear()
     # one plan each for the attacked run and the report, one lossy line for the baseline
-    decoy_distortion(ProtocolParams(0.2), 20.0, 64, 1)
+    decoy_distortion(ProtocolParams(0.2), 20.0, 0.1, 64, 1)
     assert len(calls) == 3
 
 
@@ -498,7 +516,7 @@ def test_optimal_intensity_sweep_rejects_bad_range():
 
 
 def test_validation_passes_at_default_point():
-    report = run_montecarlo_validation(ProtocolParams(mu=0.2), 20.0, 1_000_000, 42)
+    report = run_montecarlo_validation(ProtocolParams(mu=0.2), 20.0, 0.1, 1_000_000, 42)
     assert report.passed
     names = [c.name for c in report.checks]
     assert names == [
@@ -515,13 +533,13 @@ def test_validation_passes_at_default_point():
 
 
 def test_validation_report_is_deterministic():
-    a = run_montecarlo_validation(ProtocolParams(mu=0.2), 20.0, 200_000, 11)
-    b = run_montecarlo_validation(ProtocolParams(mu=0.2), 20.0, 200_000, 11)
+    a = run_montecarlo_validation(ProtocolParams(mu=0.2), 20.0, 0.1, 200_000, 11)
+    b = run_montecarlo_validation(ProtocolParams(mu=0.2), 20.0, 0.1, 200_000, 11)
     assert json.dumps(a.to_jsonable()) == json.dumps(b.to_jsonable())
 
 
 def test_validation_small_sample_marks_low_power():
-    report = run_montecarlo_validation(ProtocolParams(mu=0.2), 20.0, 100, 42)
+    report = run_montecarlo_validation(ProtocolParams(mu=0.2), 20.0, 0.1, 100, 42)
     statuses = {c.name: c.status for c in report.checks}
     assert "fail" not in statuses.values()
     assert statuses["no_attack_info_click_rate"] == "low_power"
@@ -530,9 +548,9 @@ def test_validation_small_sample_marks_low_power():
 
 
 def test_validation_verdict_names_each_outcome():
-    report = run_montecarlo_validation(ProtocolParams(mu=0.2), 20.0, 1_000_000, 42)
+    report = run_montecarlo_validation(ProtocolParams(mu=0.2), 20.0, 0.1, 1_000_000, 42)
     assert report.verdict == "all checks passed"
-    weak = run_montecarlo_validation(ProtocolParams(mu=0.1), 200.0, 100, 42)
+    weak = run_montecarlo_validation(ProtocolParams(mu=0.1), 200.0, 0.1, 100, 42)
     assert {c.status for c in weak.checks} == {"low_power"}
     assert weak.verdict == "no check had the power to pass: all low_power, nothing was tested"
     bad = CheckResult("attack_blocked_fraction", 0.2, 0.1, 0.001, 100.0, "fail")
@@ -589,10 +607,10 @@ def test_cli_validate_mc_checks_certain_rates_exactly(args, exact, tmp_path):
 def test_validation_passes_at_every_length(f):
     # from 0 km to a third beyond the fully-insecure length, blocking
     # cap included, the simulator agrees with every closed form
-    p = ProtocolParams(mu=0.2, decoy_fraction=f)
+    p = ProtocolParams(mu=0.2)
     l_star = fully_insecure_length(p)
     for k in (0, 3, 6, 8, 10, 11, 12, 14, 16):
-        report = run_montecarlo_validation(p, k / 12 * l_star, 2**18, 42)
+        report = run_montecarlo_validation(p, k / 12 * l_star, f, 2**18, 42)
         assert report.passed, (k, report.verdict)
 
 
@@ -603,11 +621,11 @@ def test_validation_takes_the_one_plan_its_distortion_report_carries(f, length):
     from cowsec.core import channel_point
     from cowsec.montecarlo import decoy_distortion
 
-    p = ProtocolParams(mu=0.2, decoy_fraction=f)
+    p = ProtocolParams(mu=0.2)
     budget = channel_point(p, length).mu_e_max
     for mu_e in (None, 0.4 * budget, budget):
-        assert decoy_distortion(p, length, 1000, 3, mu_e).plan == active_plan(p, length, mu_e)
-    report = run_montecarlo_validation(p, length, 1000, 3)
+        assert decoy_distortion(p, length, f, 1000, 3, mu_e).plan == active_plan(p, length, mu_e)
+    report = run_montecarlo_validation(p, length, f, 1000, 3)
     plan = report.distortion.plan
     assert plan == active_plan(p, length)
     assert report.checks[-1].expected == plan.i_ae
@@ -618,9 +636,7 @@ def test_validation_takes_the_one_plan_its_distortion_report_carries(f, length):
 
 
 def test_validation_without_decoys_skips_decoy_check():
-    report = run_montecarlo_validation(
-        ProtocolParams(mu=0.2, decoy_fraction=0.0), 20.0, 100_000, 42
-    )
+    report = run_montecarlo_validation(ProtocolParams(mu=0.2), 20.0, 0.0, 100_000, 42)
     assert "no_attack_decoy_double_rate" not in {c.name for c in report.checks}
 
 
@@ -1030,6 +1046,29 @@ def test_only_active_plan_builds_an_active_attack_plan():
             if isinstance(node, ast.Call) and "ActiveAttackPlan" in ast.unparse(node.func).split(".")[-2:]:
                 builders.append((path.relative_to(root).as_posix(), owner.get(node)))
     assert builders == [("src/cowsec/attacks.py", "active_plan")]
+
+
+def test_only_the_simulator_takes_a_decoy_fraction():
+    # the closed forms depend on mu, delta and L alone; the decoy fraction is
+    # a required argument of each simulator entry point, right after the
+    # length, so a call of the old (params, length, n_pulses, seed) shape fails
+    from cowsec import montecarlo
+
+    assert ProtocolParams._fields == ("mu", "delta")
+    entry_points = (
+        montecarlo.simulate_no_attack,
+        montecarlo.simulate_active_attack,
+        montecarlo.decoy_distortion,
+        run_montecarlo_validation,
+    )
+    for entry in entry_points:
+        names = list(inspect.signature(entry).parameters)
+        assert names[:3] == ["params", "length_km", "decoy_fraction"], entry.__name__
+        default = inspect.signature(entry).parameters["decoy_fraction"].default
+        assert default is inspect.Parameter.empty, entry.__name__
+    package = Path(cli.__file__).parent
+    readers = [path.stem for path in sorted(package.glob("*.py")) if "decoy_fraction" in path.read_text()]
+    assert readers == ["cli", "montecarlo", "sweeps"]
 
 
 def test_one_function_opens_files_and_it_translates_no_newlines():
