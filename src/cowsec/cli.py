@@ -12,12 +12,12 @@ The decoy fraction enters only the simulated pulse statistics, not the
 closed forms, so validate-mc is the one command that takes it.
 
 Each subcommand's help line, handler and arguments live in one table,
-_SUBCOMMANDS, and each subcommand's parser adds its arguments only when a
-command line selects it, so a call builds the arguments of the one
-subcommand it runs. Likewise each handler imports its layer on first use:
-importing this module loads only core and attacks, and qber-curves,
-optimal-intensity and validate-mc load sweeps (validate-mc also numpy)
-when they run, so attack-report, --help and --version never load them.
+_SUBCOMMANDS, and a subcommand's parser is built only when a command line
+selects it, so a call builds only the parser of the subcommand it runs.
+Likewise each handler imports its layer on first use: importing this
+module loads only core and attacks, and qber-curves, optimal-intensity
+and validate-mc load sweeps (validate-mc also numpy) when they run, so
+attack-report, --help and --version never load them.
 No command loads dataclasses: every record is a typing.NamedTuple.
 """
 
@@ -209,23 +209,23 @@ _SUBCOMMANDS = {
 }
 
 
-class _SubcommandParser(argparse.ArgumentParser):
-    """A subcommand's parser, which adds its arguments when it first parses.
+class _SubcommandParser:
+    """A subcommand's parser, built only when a command line selects it.
 
-    argparse hands a subcommand's arguments to its parser's
-    parse_known_args, so a call builds only the subcommand it runs; every
-    argument, and with it the help and errors, is in place before parsing.
+    It keeps the parser's kwargs and arguments, and builds the parser in
+    parse_known_args, the one method argparse's subparsers action calls on
+    a subparser, so a call builds only the parser of the subcommand it runs.
     """
 
     def __init__(self, *, arguments: Sequence[_Argument], **kwargs: Any) -> None:
-        super().__init__(**kwargs)
-        self._pending_arguments = arguments
+        self._arguments = arguments
+        self._kwargs = kwargs
 
     def parse_known_args(self, args=None, namespace=None):
-        pending, self._pending_arguments = self._pending_arguments, ()
-        for flags, options in pending:
-            self.add_argument(*flags, **options)
-        return super().parse_known_args(args, namespace)
+        parser = argparse.ArgumentParser(**self._kwargs)
+        for flags, options in self._arguments:
+            parser.add_argument(*flags, **options)
+        return parser.parse_known_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,7 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="COW protocol security against beam-splitting attacks",
     )
     parser.add_argument("--version", action="version", version=f"cowsec {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
+    # argparse derives the same prog by formatting the usage when it is not given
+    sub = parser.add_subparsers(
+        dest="command", required=True, prog="cowsec", parser_class=_SubcommandParser
+    )
     for name, (help_line, _, arguments) in _SUBCOMMANDS.items():
         sub.add_parser(name, help=help_line, arguments=arguments)
     return parser

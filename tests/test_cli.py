@@ -1,8 +1,8 @@
 """The command-line parser against an eager oracle, in process and in fresh processes.
 
-cli builds a subcommand's arguments only when a command line selects it.
-eager_build_parser keeps the parser as it was before that change, with every
-subcommand's arguments added up front; help text, parsed values, error
+cli builds a subcommand's parser, and with it the subcommand's arguments, only
+when a command line selects it. eager_build_parser builds every subcommand's
+parser with all its arguments up front; help text, parsed values, error
 messages and exit codes must not tell the two apart.
 """
 
@@ -143,18 +143,28 @@ def test_argument_errors_match_the_oracle(argv, monkeypatch, capsys):
 
 
 def test_a_call_adds_only_its_own_subcommands_arguments(monkeypatch, capsys):
-    # --version, five -h and attack-report's three options; all four
-    # subcommands' 22 options would make 28
-    added = []
-    add_argument = argparse.ArgumentParser.add_argument
+    built, added = [], []
+    init, add_argument = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
 
     def counting_add_argument(self, *flags, **options):
         added.append(flags)
         return add_argument(self, *flags, **options)
 
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting_add_argument)
+    # the top-level parser and attack-report's, with --version, two -h and
+    # attack-report's three options; building every subcommand's parser would
+    # make 5 parsers, and adding all 22 options 28 arguments
     assert cli.main(ATTACK_REPORT) == 0
-    assert len(added) <= 9, added
+    assert (built, len(added)) == (["cowsec", "cowsec attack-report"], 6), added
+    built.clear()
+    added.clear()
+    assert cli.main(["--help"]) == 0  # the top-level parser alone
+    assert (built, len(added)) == (["cowsec"], 2), added
 
 
 def test_attack_report_for_a_bright_source(capsys):
