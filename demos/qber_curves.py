@@ -21,7 +21,6 @@ def main() -> None:
         l_min=0.0,
         l_max=150.0,
         l_step=1.0,
-        attacks=("bs", "active"),
         output_path=out,
         fmt="csv",
     )

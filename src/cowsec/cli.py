@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands:
-    qber-curves        critical-QBER tables over a length grid
+    qber-curves        critical-QBER tables of both attacks over a length grid
     optimal-intensity  margin-optimal source intensity per length
     attack-report      human-readable analysis of a single channel point
     validate-mc        Monte Carlo cross-validation of the analytic rates
@@ -65,10 +65,6 @@ def _parse_range(text: str) -> Tuple[float, float, float]:
     return lo, hi, step
 
 
-def _parse_attacks(text: str) -> Tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
 _Argument = Tuple[Tuple[str, ...], Dict[str, Any]]
 
 
@@ -86,7 +82,6 @@ def _cmd_qber_curves(args: argparse.Namespace) -> int:
         l_min=l_min,
         l_max=l_max,
         l_step=l_step,
-        attacks=_parse_attacks(args.attacks),
         output_path=args.out,
         fmt=args.format,
     )
@@ -167,7 +162,6 @@ _SUBCOMMANDS = {
             _arg("--mu", default="0.1,0.2,0.5", help="comma-separated source intensities"),
             _arg("--delta", type=float, default=0.2, help="attenuation in dB/km"),
             _arg("--length", default="0:150:1", help="length grid min:max:step in km"),
-            _arg("--attacks", default="bs,active", help="subset of bs,active"),
             _arg("--out", required=True, help="output file path"),
             _arg("--format", choices=("csv", "json"), default="csv"),
             _arg("--workers", type=int, default=1, help=_WORKERS_HELP),

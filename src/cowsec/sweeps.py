@@ -40,7 +40,6 @@ __all__ = [
     "write_sweep",
 ]
 
-_ATTACK_NAMES = ("bs", "active")
 _FORMATS = ("csv", "json")
 
 # Largest length grid a sweep builds; checked before anything is allocated.
@@ -55,20 +54,19 @@ def _check_format(fmt: str) -> None:
 class SweepRow(NamedTuple):
     """One (source intensity, length) point of a sweep table.
 
-    Columns not produced by the requested computation are NaN (mu_opt is
-    only set by the optimal-intensity sweep, qber_* only for the attacks
-    actually requested).
+    Every row carries both attacks' analyses; only mu_opt has a default,
+    NaN, as only the optimal-intensity sweep sets it.
     """
 
     mu: float
     length_km: float
-    qber_bs: float = math.nan
-    qber_active: float = math.nan
-    i_ae_active: float = math.nan
-    mu_e_opt: float = math.nan
-    block_fraction: float = math.nan
-    fully_insecure: bool = False
-    margin: float = math.nan
+    qber_bs: float
+    qber_active: float
+    i_ae_active: float
+    mu_e_opt: float
+    block_fraction: float
+    fully_insecure: bool
+    margin: float
     mu_opt: float = math.nan
 
 
@@ -139,25 +137,13 @@ def length_grid(l_min: float, l_max: float, l_step: float) -> List[float]:
     return lengths
 
 
-def _check_distinct(what: str, values: Iterable[object]) -> None:
-    """Reject a value that appears twice; equal numbers are one value (1 and 1.0)."""
-    seen = set()
-    for value in values:
-        if value in seen:
-            raise ValueError(f"{what} {value!r} is repeated")
-        seen.add(value)
-
-
-def _qber_row(params: ProtocolParams, length_km: float, attacks: Sequence[str]) -> SweepRow:
-    qber_bs = bs_attack(params, length_km).qber_critical if "bs" in attacks else math.nan
-    if "active" not in attacks:
-        return SweepRow(params.mu, length_km, qber_bs)
+def _qber_row(params: ProtocolParams, length_km: float) -> SweepRow:
     report = active_attack(params, length_km)
     plan = report.plan
     return SweepRow(
         params.mu,
         length_km,
-        qber_bs,
+        bs_attack(params, length_km).qber_critical,
         report.qber_critical,
         report.i_ae,
         plan.mu_e,
@@ -173,33 +159,33 @@ def sweep_qber_curves(
     l_min: float = 0.0,
     l_max: float = 150.0,
     l_step: float = 1.0,
-    attacks: Sequence[str] = ("bs", "active"),
     output_path: Optional[str] = None,
     fmt: str = "csv",
 ) -> List[SweepRow]:
     """Critical-QBER curves over a length grid, one row per (mu, length).
 
+    Every row compares the passive and the active beam-splitting attack.
     Every setting is checked before any row is computed; a repeated
-    intensity or attack is rejected. Rows come back sorted by (mu, length).
+    intensity is rejected. Rows come back sorted by (mu, length).
     When output_path is set the table is also written in fmt.
     """
     if not mu_list:
         raise ValueError("mu_list must not be empty")
     params_list = [ProtocolParams(mu, delta=delta) for mu in mu_list]
-    _check_distinct("source intensity", mu_list)
+    seen = set()  # equal numbers are one intensity (1 and 1.0)
+    for mu in mu_list:
+        if mu in seen:
+            raise ValueError(f"source intensity {mu!r} is repeated")
+        seen.add(mu)
     lengths = length_grid(l_min, l_max, l_step)
-    if not attacks or any(a not in _ATTACK_NAMES for a in attacks):
-        raise ValueError(f"attacks must be a non-empty subset of {_ATTACK_NAMES}")
-    _check_distinct("attack", attacks)
     _check_format(fmt)
-    rows = [_qber_row(params, l, attacks) for params in params_list for l in lengths]
+    rows = [_qber_row(params, l) for params in params_list for l in lengths]
     rows.sort(key=attrgetter("mu", "length_km"))
     if output_path is not None:
         config = {
             "command": "qber-curves",
             "mu": ",".join(f"{m:.17g}" for m in mu_list),
             **_channel_config(delta, (l_min, l_max, l_step)),
-            "attacks": ",".join(attacks),
         }
         write_sweep(output_path, rows, config, fmt)
     return rows
@@ -209,7 +195,7 @@ def _optimal_row(delta: float, length_km: float) -> SweepRow:
     # _qber_row's margin is the plan's, which key_rate_margin returns too, so
     # it equals optimal_source_intensity's margin bit for bit.
     mu = optimal_source_intensity(delta, length_km).mu
-    return _qber_row(ProtocolParams(mu, delta=delta), length_km, _ATTACK_NAMES)._replace(mu_opt=mu)
+    return _qber_row(ProtocolParams(mu, delta=delta), length_km)._replace(mu_opt=mu)
 
 
 def sweep_optimal_intensity(

@@ -39,7 +39,6 @@ def eager_build_parser() -> argparse.ArgumentParser:
     qc.add_argument("--mu", default="0.1,0.2,0.5", help="comma-separated source intensities")
     qc.add_argument("--delta", type=float, default=0.2, help="attenuation in dB/km")
     qc.add_argument("--length", default="0:150:1", help="length grid min:max:step in km")
-    qc.add_argument("--attacks", default="bs,active", help="subset of bs,active")
     qc.add_argument("--out", required=True, help="output file path")
     qc.add_argument("--format", choices=("csv", "json"), default="csv")
     qc.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
@@ -232,13 +231,23 @@ def test_only_validate_mc_takes_a_decoy_fraction(tmp_path, capsys):
     assert json.loads(report.read_text())["config"]["decoy_fraction"] == 0.25
 
 
+def test_every_qber_table_compares_both_attacks(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = ["qber-curves", "--mu", "0.5", "--length", "140:140:1", "--out", str(out)]
+    assert cli.main([*argv, "--attacks", "bs"]) == 2
+    assert "unrecognized arguments: --attacks bs" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(argv) == 0
+    assert "# attacks=" not in out.read_text()
+
+
 # One valid value other than the default for every option but --out, on top
 # of the base command lines below. --workers is parsed only so that old
 # command lines keep working and changes nothing; ROADMAP.md's open item on
 # deleting it removes this exception.
 OTHER_VALUES = {
     "qber-curves": {
-        "--mu": "0.3", "--delta": "0.3", "--length": "0:150:2", "--attacks": "bs", "--format": "json",
+        "--mu": "0.3", "--delta": "0.3", "--length": "0:150:2", "--format": "json",
     },
     "optimal-intensity": {"--delta": "0.3", "--length": "1:50:1", "--format": "json"},
     "attack-report": {"--mu": "0.5", "--delta": "0.3", "--length": "40"},

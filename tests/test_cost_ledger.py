@@ -58,7 +58,7 @@ LEDGER = {
         "core.holevo_two_pure": 80,
         "sweeps.sweep_qber_curves": 3,
         "sweeps.write_sweep": 3,
-        "sweeps.write_sweep.bytes": 10682,
+        "sweeps.write_sweep.bytes": 10622,
     },
     "optimise_mu": {
         "ops": 3,

@@ -32,7 +32,7 @@ from bench import workloads
 PINNED_SHA256 = {
     "optimise_mu": "82228e1c27ba07c86a8f0c75c4d46dc7b9b785af76cef3fde9348299ba404262",
     "point_reports": "7135bf44ea27a869d322515688ba24934cfd9425417aa8fc12acd7b467ffe954",
-    "sweep_grid": "b31311335ab93290a509c74480e03cbdc44ad5e1220d842c32dbfe4a6ffda22f",
+    "sweep_grid": "69705890b40dcfbac8591295f3f7151e9e9b5d1a712dae50eb25cab9184b85a8",
     "validate_mc": "d15194a8828efcdddf9caf64af79d32249dec11cf4055572fda9705950e1299e",
 }
 

@@ -88,14 +88,13 @@ def read_json_table(path):
     return payload["metadata"], rows
 
 
-def small_sweep(tmp_path=None, fmt="csv", attacks=("bs", "active")):
+def small_sweep(tmp_path=None, fmt="csv"):
     return sweep_qber_curves(
         mu_list=(0.1, 0.5),
         delta=0.2,
         l_min=0.0,
         l_max=60.0,
         l_step=5.0,
-        attacks=attacks,
         output_path=str(tmp_path) if tmp_path else None,
         fmt=fmt,
     )
@@ -114,15 +113,14 @@ def small_sweep(tmp_path=None, fmt="csv", attacks=("bs", "active")):
         {"mu_list": (0.1,), "l_min": -1.0},
         {"mu_list": (0.1,), "l_step": 0.0},
         {"mu_list": (0.1,), "l_min": 10.0, "l_max": 5.0},
-        {"mu_list": (0.1,), "attacks": ()},
-        {"mu_list": (0.1,), "attacks": ("bs", "ufo")},
+        {"mu_list": (0.1,), "l_max": math.inf},
+        {"mu_list": (0.1,), "l_max": 1000.0, "l_step": 1e-4},
         {"mu_list": (0.1,), "fmt": "xml"},
         {"mu_list": (math.nan,)},
         {"mu_list": (math.inf,)},
         {"mu_list": (0.1,), "delta": math.inf},
         {"mu_list": (0.1, 0.2, 0.1)},
         {"mu_list": (1, 1.0)},
-        {"mu_list": (0.1,), "attacks": ("bs", "active", "bs")},
     ],
 )
 def test_sweep_spec_validation(kwargs, tmp_path, monkeypatch):
@@ -142,10 +140,9 @@ def test_sweep_spec_validation(kwargs, tmp_path, monkeypatch):
     [
         (["--mu", "0.1,0.1"], "source intensity 0.1 is repeated"),
         (["--mu", "0.5,0.1,0.50"], "source intensity 0.5 is repeated"),
-        (["--attacks", "bs,bs"], "attack 'bs' is repeated"),
     ],
 )
-def test_a_repeated_intensity_or_attack_is_rejected(argv, message, tmp_path, capsys):
+def test_a_repeated_intensity_is_rejected(argv, message, tmp_path, capsys):
     # one row per (mu, length): a repeated mu would write each of its rows twice
     out = tmp_path / "x.csv"
     assert cli.main(["qber-curves", *argv, "--length", "0:1:1", "--out", str(out)]) == 2
@@ -162,7 +159,7 @@ def test_every_record_is_immutable():
     report = run_montecarlo_validation(params, 20.0, 0.1, 1000, 1)
     records = [
         params, channel_point(params, 20.0), active.plan, active,
-        optimal_source_intensity(0.2, 20.0), SweepRow(0.2, 20.0),
+        optimal_source_intensity(0.2, 20.0), SweepRow(0.2, 20.0, *[0.1] * 5, False, 0.0),
         report.checks[0], report, report.distortion, report.distortion.rows[0], ClassTally(),
         TrialStats(),
     ]
@@ -294,12 +291,6 @@ def test_qber_sweep_sorts_rows_by_mu_then_length():
     assert all(rows_equal(a, b) for a, b in zip(rows, expected))
 
 
-def test_qber_sweep_single_attack_leaves_nan_columns():
-    rows = small_sweep(attacks=("bs",))
-    assert all(math.isnan(r.qber_active) and math.isnan(r.margin) for r in rows)
-    assert all(not math.isnan(r.qber_bs) for r in rows)
-
-
 # ---------------------------------------------------------------------------
 # serialisation round-trips
 
@@ -314,12 +305,12 @@ def test_round_trip_preserves_rows_exactly(tmp_path, fmt):
     # resolved configuration is embedded
     assert header["tool"] == "cowsec"
     assert header["command"] == "qber-curves"
-    assert header["attacks"] == "bs,active"
+    assert "attacks" not in header
     assert header["delta"] == f"{0.2:.17g}"
 
 
 def test_seventeen_digit_rendering_round_trips_awkward_floats(tmp_path):
-    awkward = SweepRow(mu=1.0 / 3.0, length_km=math.pi, qber_bs=0.1 + 0.2)
+    awkward = SweepRow(1.0 / 3.0, math.pi, 0.1 + 0.2, math.nan, 5e-324, 2.0**53, -0.0, False, math.inf)
     path = tmp_path / "awkward.csv"
     write_sweep(str(path), [awkward], {"command": "test"}, "csv")
     _, back = read_csv_table(str(path))
@@ -379,9 +370,9 @@ def test_csv_writer_matches_the_csv_module_on_awkward_values(tmp_path):
     assert_written_as_oracle(tmp_path, rows)
 
 
-@pytest.mark.parametrize("attacks", [("bs",), ("active",), ("bs", "active")])
-def test_csv_writer_matches_the_csv_module_on_qber_sweeps(attacks, tmp_path):
-    rows = sweep_qber_curves((0.02, 0.5), l_max=80.0, l_step=2.5, attacks=attacks)
+def test_csv_writer_matches_the_csv_module_on_qber_sweeps(tmp_path):
+    rows = sweep_qber_curves((0.02, 0.5), l_max=80.0, l_step=2.5)
+    assert all(math.isnan(r.mu_opt) for r in rows)  # the writer's NaN cells
     assert_written_as_oracle(tmp_path, rows)
 
 
@@ -427,10 +418,12 @@ def test_write_sweep_rejects_unknown_format(tmp_path):
 
 def test_json_text_writes_nested_records_as_objects_and_non_finite_as_null():
     # writers hand each record over as its _asdict()
-    text = _json_text({"row": SweepRow(0.2, 1.0)._asdict(), "pair": (1.0, math.nan)})
+    row = SweepRow(0.2, 1.0, math.nan, 0.1, math.inf, -math.inf, 0.5, False, 0.0)
+    text = _json_text({"row": row._asdict(), "pair": (1.0, math.nan)})
     payload = strict_json(text)
     assert list(payload["row"]) == list(SweepRow._fields)
     assert payload["row"]["mu"] == 0.2 and payload["row"]["qber_bs"] is None
+    assert payload["row"]["i_ae_active"] is None and payload["row"]["mu_e_opt"] is None
     assert payload["row"]["fully_insecure"] is False
     assert payload["pair"] == [1.0, None]
 
@@ -1069,6 +1062,18 @@ def test_only_the_simulator_takes_a_decoy_fraction():
     package = Path(cli.__file__).parent
     readers = [path.stem for path in sorted(package.glob("*.py")) if "decoy_fraction" in path.read_text()]
     assert readers == ["cli", "montecarlo", "sweeps"]
+
+
+def test_every_qber_table_carries_both_attacks():
+    # no attack selection: a row without the active analysis cannot be built,
+    # so fully_insecure never falls back to a default of False
+    assert "attacks" not in inspect.signature(sweep_qber_curves).parameters
+    assert list(SweepRow._field_defaults) == ["mu_opt"]
+    rows = sweep_qber_curves((0.1, 0.5), l_max=150.0, l_step=10.0)
+    for row in rows:
+        assert all(map(math.isfinite, (row.qber_bs, row.qber_active, row.margin))), row
+        assert row.fully_insecure == (row.qber_active == 0), row
+    assert {row.fully_insecure for row in rows} == {True, False}
 
 
 def test_one_function_opens_files_and_it_translates_no_newlines():
