@@ -14,8 +14,8 @@ is the share of information pulses Eve blocks.
 
 Randomness is counter-based: every draw is SplitMix64(seed, pulse
 index, draw slot), so a pulse's outcome depends only on the seed and its
-index. Serial runs, chunked runs and arbitrary parallel partitions of
-the index range therefore produce bit-identical tallies.
+index. Every run covers pulses 0 to n_pulses - 1, so serial and chunked
+runs produce bit-identical tallies.
 
 Both streams run through one chunk kernel, whose buffers are made once
 per run and sized so that each uint64 row stays in a core's L2 cache;
@@ -200,14 +200,14 @@ def _aligned(
     return raw[offset:offset + nbytes].view(dtype).reshape(shape)
 
 
-def _buffers(seed: int, start: int, count: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Slot-0 counters of pulses [start, start+count) atop 2 word rows, and 8 zeroed bool rows.
+def _buffers(seed: int, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Slot-0 counters of pulses [0, count) atop 2 word rows, and 8 zeroed bool rows.
 
     Both arrays start on a cache-line boundary, and so does every row when
     count is a multiple of 64 (as _CHUNK is).
     """
     words = _aligned(np.empty, (3, count), np.uint64)
-    base = np.arange(start, start + count, dtype=np.uint64)
+    base = np.arange(count, dtype=np.uint64)
     base = np.multiply(base, np.uint64(_DRAWS_PER_PULSE), out=words[0])
     base += np.uint64(1)
     base *= np.uint64(_GOLDEN)
@@ -257,22 +257,20 @@ def _count(
 
 
 def _simulate(
-    f: float, p_bob: float, p_eve: float, beta: float, n_pulses: int, seed: int, first_pulse: int
+    f: float, p_bob: float, p_eve: float, beta: float, n_pulses: int, seed: int
 ) -> TrialStats:
-    """Run the chunk kernel over n_pulses pulses from first_pulse on and tally them per class."""
+    """Run the chunk kernel over pulses 0 to n_pulses - 1 and tally them per class."""
     if not 0.0 <= f < 1.0:
         raise ValueError(f"decoy fraction must lie in [0, 1), got {f}")
     if n_pulses < 1:
         raise ValueError(f"need at least one pulse, got n_pulses = {n_pulses}")
-    if first_pulse < 0:
-        raise ValueError(f"first_pulse must be non-negative, got {first_pulse}")
-    if first_pulse + n_pulses > _PULSE_PERIOD:
-        raise ValueError(f"first_pulse + n_pulses = {first_pulse} + {n_pulses} exceeds 2**61")
+    if n_pulses > _PULSE_PERIOD:
+        raise ValueError(f"need at most 2**61 pulses, got n_pulses = {n_pulses}")
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     size = min(_CHUNK, n_pulses)
     # once per run: fresh arrays per chunk page-fault in a process whose allocator is cold
-    words, masks = _buffers(seed, first_pulse, size)
+    words, masks = _buffers(seed, size)
     step = np.uint64((size * _DRAWS_PER_PULSE * _GOLDEN) & _MASK64)
     counts = np.zeros((6, 3), dtype=np.int64)  # ClassTally fields among all, info and bit0 pulses
     for start in range(0, n_pulses, size):
@@ -303,7 +301,6 @@ def simulate_no_attack(
     decoy_fraction: float,
     n_pulses: int,
     seed: int,
-    first_pulse: int = 0,
 ) -> TrialStats:
     """Simulate the plain lossy link: every pulse attenuated to mu_b.
 
@@ -312,7 +309,7 @@ def simulate_no_attack(
     slots click independently.
     """
     p_click = -math.expm1(-channel_point(params, length_km).mu_b)
-    return _simulate(decoy_fraction, p_click, 0.0, 0.0, n_pulses, seed, first_pulse)
+    return _simulate(decoy_fraction, p_click, 0.0, 0.0, n_pulses, seed)
 
 
 def simulate_active_attack(
@@ -321,7 +318,7 @@ def simulate_active_attack(
     decoy_fraction: float,
     n_pulses: int,
     seed: int,
-    first_pulse: int = 0,
+    *,
     mu_e: Optional[float] = None,
 ) -> TrialStats:
     """Simulate the active beam-splitting attack at diverted intensity mu_e.
@@ -337,7 +334,7 @@ def simulate_active_attack(
     plan = active_plan(params, length_km, mu_e)
     p_bob = -math.expm1(-plan.mu_b_prime)
     beta = blocking_probability(plan)
-    return _simulate(decoy_fraction, p_bob, plan.p_conc_inf, beta, n_pulses, seed, first_pulse)
+    return _simulate(decoy_fraction, p_bob, plan.p_conc_inf, beta, n_pulses, seed)
 
 
 def _stream_pair(

@@ -834,3 +834,47 @@ def test_active_report_matches_mpmath_next_to_the_fully_insecure_length():
             if abs(length - l_star) <= 1e-15 * l_star:
                 continue
         assert_active_report_matches_exact(mu, delta, length)
+
+
+def dim_source_xfail(measured: str):
+    # a known wrong output, kept strict so that mending it shows
+    return pytest.mark.xfail(strict=True, reason=f"ROADMAP item 9, dim source: {measured}")
+
+
+@pytest.mark.parametrize(
+    "length",
+    [
+        7000.0,
+        7500.0,
+        7700.0,
+        pytest.param(
+            7800.0,
+            marks=dim_source_xfail(
+                "C = 2e-312 is subnormal; i_AE is 0.4999999999987648 against the model's 0.5, "
+                "a relative error of 2.5e-12 against a bound of 8.0e-14"
+            ),
+        ),
+        pytest.param(
+            8090.0,
+            marks=dim_source_xfail(
+                "C = 5e-324, one subnormal step; the report is fully insecure with i_AE 1 "
+                "and margin 0, the model secure with i_AE 0.5 and margin 2.5e-324"
+            ),
+        ),
+        pytest.param(
+            8250.0,
+            marks=dim_source_xfail(
+                "C underflows to 0; the report is fully insecure with i_AE 1 and margin 0, "
+                "the model secure with i_AE 0.5 and margin 1e-330"
+            ),
+        ),
+    ],
+)
+def test_active_report_matches_mpmath_at_the_optimal_source_of_a_long_channel(length):
+    # At 0.2 dB/km the optimal intensity mu* falls with the transmittance T, and
+    # Bob's click rate C = 1 - exp(-mu* T) with it: 2e-308 at 7,700 km and
+    # 2e-312 at 7,800 km. As C sinks into the subnormals, i_AE = K/C loses
+    # digits: 1/3 instead of 0.5 at 8,080 km, and from 8,090 km the code calls
+    # the link fully insecure.
+    mu = optimal_source_intensity(0.2, length).mu
+    assert_active_report_matches_exact(mu, 0.2, length)

@@ -214,6 +214,17 @@ def test_validate_mc_rejects_a_seed_outside_64_bits(seed, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_validate_mc_rejects_more_than_2_61_pulses(tmp_path, capsys):
+    # the counters of pulse 2**61 repeat those of pulse 0; the message names
+    # the pulse count, which --pulses sets, and no argument the CLI lacks
+    out = tmp_path / "r.json"
+    assert cli.main(["validate-mc", "--pulses", str(2**61 + 1), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "need at most 2**61 pulses, got n_pulses = 2305843009213693953" in err
+    assert "first_pulse" not in err
+    assert not out.exists()
+
+
 def test_only_validate_mc_takes_a_decoy_fraction(tmp_path, capsys):
     # the decoy fraction enters the simulator's class mix but no closed form
     out = tmp_path / "x.csv"

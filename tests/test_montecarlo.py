@@ -52,9 +52,14 @@ def assert_within_4_sigma(count, total, expected, label=""):
     assert abs(z) <= 4.0, f"{label}: observed {count/total:.6f}, expected {expected:.6f}, z={z:.2f}"
 
 
-def merged(*runs):
-    """The tallies of disjoint pulse ranges of one seed, added class by class."""
-    return TrialStats(*(sum(tallies, ClassTally()) for tallies in zip(*runs)))
+def pulse_range(run, first, n):
+    """Tallies of pulses [first, first + n): run(first + n) less run(first), class by class.
+
+    run(m) simulates pulses 0 to m - 1 of one seed, and a pulse's outcome
+    depends only on the seed and its index.
+    """
+    whole, prefix = run(first + n), run(first)
+    return TrialStats(*(ClassTally(*(a - b for a, b in zip(w, q))) for w, q in zip(whole, prefix)))
 
 
 def pulses(stats):
@@ -162,7 +167,7 @@ def test_active_attack_budget_identities_at_moderate_point():
 
 
 # ---------------------------------------------------------------------------
-# determinism and partitioning
+# determinism and argument checks
 
 
 def test_simulations_are_deterministic():
@@ -174,38 +179,21 @@ def test_simulations_are_deterministic():
     assert c == simulate_no_attack(p, 20.0, F, 200_000, SEED)
 
 
-def test_partition_independence():
-    p = params(0.2)
-    whole = simulate_active_attack(p, 20.0, F, 300_000, SEED)
-    parts = [
-        simulate_active_attack(p, 20.0, F, n, SEED, first_pulse=start)
-        for start, n in ((0, 77_777), (77_777, 150_000), (227_777, 72_223))
-    ]
-    assert merged(*parts) == whole
-    assert [pulses(part) for part in parts] == [77_777, 150_000, 72_223]
-
-    whole_base = simulate_no_attack(p, 20.0, F, 300_000, SEED)
-    half1 = simulate_no_attack(p, 20.0, F, 150_001, SEED)
-    half2 = simulate_no_attack(p, 20.0, F, 149_999, SEED, first_pulse=150_001)
-    assert merged(half1, half2) == whole_base
-    assert pulses(whole) == pulses(whole_base) == 300_000
-
-
 @pytest.mark.parametrize(
-    "n_pulses, first_pulse, name",
+    "n_pulses, message",
     [
-        (0, 0, "n_pulses"),
-        (10, -1, "first_pulse"),
+        (0, "need at least one pulse, got n_pulses = 0"),
         # the counters of pulse 2^61 repeat those of pulse 0
-        (10, 2**61 - 9, r"first_pulse \+ n_pulses"),
+        (2**61 + 1, r"need at most 2\*\*61 pulses, got n_pulses = 2305843009213693953"),
     ],
+    ids=["0", "2**61+1"],
 )
-def test_simulators_reject_an_empty_or_negative_pulse_range(n_pulses, first_pulse, name):
+def test_simulators_reject_a_pulse_count_outside_1_to_2_61(n_pulses, message):
     p = params(0.2)
-    with pytest.raises(ValueError, match=name):
-        simulate_no_attack(p, 20.0, F, n_pulses, SEED, first_pulse=first_pulse)
-    with pytest.raises(ValueError, match=name):
-        simulate_active_attack(p, 20.0, F, n_pulses, SEED, first_pulse=first_pulse)
+    with pytest.raises(ValueError, match=message):
+        simulate_no_attack(p, 20.0, F, n_pulses, SEED)
+    with pytest.raises(ValueError, match=message):
+        simulate_active_attack(p, 20.0, F, n_pulses, SEED)
 
 
 @pytest.mark.parametrize("seed", [-5, -1, 2**64, 2**64 + 5])
@@ -233,10 +221,16 @@ def test_simulators_reject_a_decoy_fraction_outside_0_1(f):
 
 
 # Exact counts: any change to the counter layout, the draw order, the
-# blocking probability or the tally shows up here. 2^20 + 3
-# pulses from index 5 cross a chunk boundary; seed 2^64 - 1 wraps the counter.
+# blocking probability or the tally shows up here. The 2^20 + 3 pulses
+# from index 5, taken as pulse_range's difference of two runs from pulse 0,
+# cross a chunk boundary; seed 2^64 - 1 wraps the counter.
 GOLDEN_N = 2**20 + 3
 GOLDEN_SEED = 2**64 - 1
+
+
+def golden_range(simulate, p, length, f, **kwargs):
+    """simulate's tallies of the GOLDEN_N pulses from index 5 at GOLDEN_SEED."""
+    return pulse_range(lambda n: simulate(p, length, f, n, GOLDEN_SEED, **kwargs), 5, GOLDEN_N)
 
 
 def _golden(n, bit0, bit1, decoy):
@@ -246,7 +240,7 @@ def _golden(n, bit0, bit1, decoy):
 
 
 def test_golden_counts_no_attack():
-    stats = simulate_no_attack(params(0.2), 20.0, F, GOLDEN_N, GOLDEN_SEED, first_pulse=5)
+    stats = golden_range(simulate_no_attack, params(0.2), 20.0, F)
     assert stats == _golden(
         GOLDEN_N,
         (472309, 0, 0, 36558, 0, 0),
@@ -282,7 +276,7 @@ def test_golden_counts_active_attack(length, block_fraction, counts):
     p = params(0.2)
     plan = active_plan(p, length)
     assert plan.block_fraction == block_fraction
-    stats = simulate_active_attack(p, length, F, GOLDEN_N, GOLDEN_SEED, first_pulse=5)
+    stats = golden_range(simulate_active_attack, p, length, F)
     assert stats == _golden(GOLDEN_N, *counts)
 
 
@@ -336,7 +330,7 @@ def test_golden_counts_active_attack(length, block_fraction, counts):
 def test_golden_counts_kernel_branches(p, length, f, mu_e, beta, counts):
     plan = active_plan(p, length, mu_e)
     assert blocking_probability(plan) == beta
-    stats = simulate_active_attack(p, length, f, GOLDEN_N, GOLDEN_SEED, first_pulse=5, mu_e=mu_e)
+    stats = golden_range(simulate_active_attack, p, length, f, mu_e=mu_e)
     assert stats == _golden(GOLDEN_N, *counts)
 
 
@@ -437,8 +431,8 @@ def test_tallies_do_not_depend_on_the_chunk_size(monkeypatch):
         monkeypatch.setattr(montecarlo, "_CHUNK", 1 << chunk_bits)
         runs.append(
             (
-                simulate_active_attack(p, 20.0, F, GOLDEN_N, GOLDEN_SEED, first_pulse=5),
-                simulate_no_attack(p, 20.0, F, GOLDEN_N, GOLDEN_SEED, first_pulse=5),
+                golden_range(simulate_active_attack, p, 20.0, F),
+                golden_range(simulate_no_attack, p, 20.0, F),
             )
         )
     assert runs[0] == runs[1] == runs[2]
@@ -504,18 +498,22 @@ def test_tallies_match_the_scalar_pulse_model(branch):
     p, length, f, mu_e = KERNEL_BRANCHES[branch]
     n, first = 4096, 2**16 - 1000
     for seed in (2016, 0, 2**64 - 1):
-        attacked = simulate_active_attack(p, length, f, n, seed, first, mu_e)
-        lossy = simulate_no_attack(p, length, f, n, seed, first)
+        attacked = pulse_range(
+            lambda m: simulate_active_attack(p, length, f, m, seed, mu_e=mu_e), first, n
+        )
+        lossy = pulse_range(lambda m: simulate_no_attack(p, length, f, m, seed), first, n)
         assert (attacked, lossy) == scalar_streams(p, length, f, mu_e, n, seed, first), seed
 
 
 def test_chunked_tallies_match_the_scalar_pulse_model(monkeypatch):
-    # five chunks of 1,000 pulses and a last one of 96
+    # chunks of 1,000 pulses: the runs of 2^16 + 3096 and 2^16 - 1000 pulses
+    # end in chunks of 632 and 536, and four boundaries fall inside the range
     monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
     p, length, f, mu_e = KERNEL_BRANCHES["default"]
-    attacked = simulate_active_attack(p, length, f, 4096, 7, 2**16 - 1000)
-    lossy = simulate_no_attack(p, length, f, 4096, 7, 2**16 - 1000)
-    assert (attacked, lossy) == scalar_streams(p, length, f, mu_e, 4096, 7, 2**16 - 1000)
+    n, first = 4096, 2**16 - 1000
+    attacked = pulse_range(lambda m: simulate_active_attack(p, length, f, m, 7), first, n)
+    lossy = pulse_range(lambda m: simulate_no_attack(p, length, f, m, 7), first, n)
+    assert (attacked, lossy) == scalar_streams(p, length, f, mu_e, n, 7, first)
 
 
 def test_simulation_memory_stays_chunk_sized():
@@ -532,7 +530,7 @@ def test_simulation_memory_stays_chunk_sized():
 
 def test_kernel_rows_start_on_cache_lines():
     # word rows at 16 or 48 mod 64 bytes made the kernel about 11% slower than at 0 or 32
-    words, masks = _buffers(SEED, 0, montecarlo._CHUNK)
+    words, masks = _buffers(SEED, montecarlo._CHUNK)
     assert [row.ctypes.data % 64 for row in (*words, *masks)] == [0] * 11
     assert not masks.any()
 
@@ -547,7 +545,7 @@ def test_beam_splitter_arms_are_independent():
         -math.expm1(-plan.mu_b_prime),
         -math.expm1(-plan.mu_e),
         blocking_probability(plan),
-        *_buffers(SEED, 0, N),
+        *_buffers(SEED, N),
     )
     eve = eve[is_info]
     bob_raw = (bob_raw_early | bob_raw_late)[is_info]

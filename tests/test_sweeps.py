@@ -1059,6 +1059,19 @@ def test_only_the_simulator_takes_a_decoy_fraction():
         assert names[:3] == ["params", "length_km", "decoy_fraction"], entry.__name__
         default = inspect.signature(entry).parameters["decoy_fraction"].default
         assert default is inspect.Parameter.empty, entry.__name__
+    # every simulator run covers pulses 0 to n_pulses - 1, and mu_e is a
+    # keyword, so a stale positional sixth argument raises TypeError
+    positional = ["params", "length_km", "decoy_fraction", "n_pulses", "seed"]
+    for entry, keywords in (
+        (montecarlo.simulate_no_attack, []),
+        (montecarlo.simulate_active_attack, ["mu_e"]),
+    ):
+        parameters = inspect.signature(entry).parameters.values()
+        assert [p.name for p in parameters] == positional + keywords, entry.__name__
+        kinds = [p.kind is inspect.Parameter.KEYWORD_ONLY for p in parameters]
+        assert kinds == [False] * len(positional) + [True] * len(keywords), entry.__name__
+    with pytest.raises(TypeError):
+        montecarlo.simulate_active_attack(ProtocolParams(0.2), 20.0, 0.1, 10, 42, 0)
     package = Path(cli.__file__).parent
     readers = [path.stem for path in sorted(package.glob("*.py")) if "decoy_fraction" in path.read_text()]
     assert readers == ["cli", "montecarlo", "sweeps"]
