@@ -9,21 +9,22 @@ passive one and where security collapses entirely. Run:
 
 import sys
 
-from cowsec.sweeps import sweep_qber_curves
+from cowsec.sweeps import length_grid, sweep_qber_curves, write_sweep
 
 
 def main() -> None:
     out = sys.argv[1] if len(sys.argv) > 1 else "qber_curves.csv"
     mu_list = (0.1, 0.2, 0.5)
-    rows = sweep_qber_curves(
-        mu_list=mu_list,
-        delta=0.2,
-        l_min=0.0,
-        l_max=150.0,
-        l_step=1.0,
-        output_path=out,
-        fmt="csv",
-    )
+    delta = 0.2
+    grid = (0.0, 150.0, 1.0)
+    rows = sweep_qber_curves(mu_list, length_grid(*grid), delta=delta)
+    config = {
+        "demo": "qber_curves",
+        "mu": ",".join(f"{m:.17g}" for m in mu_list),
+        "delta": f"{delta:.17g}",
+        "length": ":".join(f"{x:.17g}" for x in grid),
+    }
+    write_sweep(out, rows, config, "csv")
     print(f"wrote {len(rows)} rows to {out}")
     print()
     print("landmarks per source intensity:")

@@ -9,12 +9,20 @@ between Bob's and Eve's information. Run:
 
 import sys
 
-from cowsec.sweeps import sweep_optimal_intensity
+from cowsec.sweeps import length_grid, sweep_optimal_intensity, write_sweep
 
 
 def main() -> None:
     out = sys.argv[1] if len(sys.argv) > 1 else "optimal_intensity.csv"
-    rows = sweep_optimal_intensity(0.2, 1.0, 100.0, 1.0, output_path=out)
+    delta = 0.2
+    grid = (1.0, 100.0, 1.0)
+    rows = sweep_optimal_intensity(delta, length_grid(*grid))
+    config = {
+        "demo": "source_intensity_optimization",
+        "delta": f"{delta:.17g}",
+        "length": ":".join(f"{x:.17g}" for x in grid),
+    }
+    write_sweep(out, rows, config, "csv")
     print(f"wrote {len(rows)} rows to {out}")
     print()
     print(" length   mu*      margin     QBER_active  QBER_bs")

@@ -10,6 +10,9 @@ Exit codes: 0 success, 1 validation failure, 2 invalid arguments,
 3 I/O error. Length ranges use min:max:step, lists are comma separated.
 The decoy fraction enters only the simulated pulse statistics, not the
 closed forms, so validate-mc is the one command that takes it.
+qber-curves and optimal-intensity build their length grid once, have
+the sweep compute its rows and write them with sweeps.write_sweep under
+a header built here, which names the command and its resolved settings.
 
 Each subcommand's help line, handler and arguments live in one table,
 _SUBCOMMANDS, and a subcommand's parser is built only when a command line
@@ -51,9 +54,7 @@ def _parse_mu_list(text: str) -> Tuple[float, ...]:
 
 
 def _parse_range(text: str) -> Tuple[float, float, float]:
-    """A --length range's min, max and step, after length_grid's checks of the grid."""
-    from .sweeps import length_grid
-
+    """A --length range's min, max and step; length_grid checks the grid they span."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"length range must be min:max:step, got {text!r}")
@@ -61,8 +62,15 @@ def _parse_range(text: str) -> Tuple[float, float, float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise ValueError(f"cannot parse length range {text!r}") from None
-    length_grid(lo, hi, step)
     return lo, hi, step
+
+
+def _channel_config(delta: float, grid: Tuple[float, float, float]) -> Dict[str, str]:
+    """The header keys both sweep tables share, the attenuation and the length grid, at %.17g."""
+    return {
+        "delta": f"{delta:.17g}",
+        "length": ":".join(f"{x:.17g}" for x in grid),
+    }
 
 
 _Argument = Tuple[Tuple[str, ...], Dict[str, Any]]
@@ -73,34 +81,29 @@ def _arg(*flags: str, **options: Any) -> _Argument:
 
 
 def _cmd_qber_curves(args: argparse.Namespace) -> int:
-    from .sweeps import sweep_qber_curves
+    from .sweeps import length_grid, sweep_qber_curves, write_sweep
 
-    l_min, l_max, l_step = _parse_range(args.length)  # a bad --length is reported first
-    rows = sweep_qber_curves(
-        _parse_mu_list(args.mu),
-        delta=args.delta,
-        l_min=l_min,
-        l_max=l_max,
-        l_step=l_step,
-        output_path=args.out,
-        fmt=args.format,
-    )
+    grid = _parse_range(args.length)
+    lengths = length_grid(*grid)  # a bad --length is reported before a bad --mu
+    mu_list = _parse_mu_list(args.mu)
+    rows = sweep_qber_curves(mu_list, lengths, delta=args.delta)
+    config = {
+        "command": "qber-curves",
+        "mu": ",".join(f"{m:.17g}" for m in mu_list),
+        **_channel_config(args.delta, grid),
+    }
+    write_sweep(args.out, rows, config, args.format)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
 def _cmd_optimal_intensity(args: argparse.Namespace) -> int:
-    from .sweeps import sweep_optimal_intensity
+    from .sweeps import length_grid, sweep_optimal_intensity, write_sweep
 
-    l_min, l_max, l_step = _parse_range(args.length)
-    rows = sweep_optimal_intensity(
-        args.delta,
-        l_min,
-        l_max,
-        l_step,
-        output_path=args.out,
-        fmt=args.format,
-    )
+    grid = _parse_range(args.length)
+    rows = sweep_optimal_intensity(args.delta, length_grid(*grid))
+    config = {"command": "optimal-intensity", **_channel_config(args.delta, grid)}
+    write_sweep(args.out, rows, config, args.format)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

@@ -7,8 +7,9 @@ from one line template derived from SweepRow's fields, ended by CRLF as
 csv.writer ends lines; no cell ever needs quoting, so the csv module is
 not needed. The columns whose values repeat down a table (mu, length_km,
 mu_e_opt) go through a cell cache that lives for one table, so each
-distinct nonzero value is formatted once. Outputs carry the fully
-resolved configuration in their header and contain nothing
+distinct nonzero value is formatted once. The sweeps compute rows over
+a grid from length_grid and write nothing; write_sweep writes them under
+the configuration header its caller builds. Outputs contain nothing
 time-dependent, so identical inputs give byte-identical files. Every
 file, sweep table or validation report, is written by one writer,
 _write, without newline translation.
@@ -42,7 +43,7 @@ __all__ = [
 
 _FORMATS = ("csv", "json")
 
-# Largest length grid a sweep builds; checked before anything is allocated.
+# Largest length grid length_grid builds; checked before anything is allocated.
 _MAX_GRID_POINTS = 10**6
 
 
@@ -154,20 +155,14 @@ def _qber_row(params: ProtocolParams, length_km: float) -> SweepRow:
 
 
 def sweep_qber_curves(
-    mu_list: Sequence[float],
-    delta: float = 0.2,
-    l_min: float = 0.0,
-    l_max: float = 150.0,
-    l_step: float = 1.0,
-    output_path: Optional[str] = None,
-    fmt: str = "csv",
+    mu_list: Sequence[float], lengths: Sequence[float], delta: float = 0.2
 ) -> List[SweepRow]:
-    """Critical-QBER curves over a length grid, one row per (mu, length).
+    """Critical-QBER curves over lengths, one row per (mu, length).
 
-    Every row compares the passive and the active beam-splitting attack.
-    Every setting is checked before any row is computed; a repeated
-    intensity is rejected. Rows come back sorted by (mu, length).
-    When output_path is set the table is also written in fmt.
+    lengths is a grid that length_grid built. Every row compares the
+    passive and the active beam-splitting attack. The intensities and
+    delta are checked before any row is computed; a repeated intensity is
+    rejected. Rows come back sorted by (mu, length).
     """
     if not mu_list:
         raise ValueError("mu_list must not be empty")
@@ -177,17 +172,8 @@ def sweep_qber_curves(
         if mu in seen:
             raise ValueError(f"source intensity {mu!r} is repeated")
         seen.add(mu)
-    lengths = length_grid(l_min, l_max, l_step)
-    _check_format(fmt)
     rows = [_qber_row(params, l) for params in params_list for l in lengths]
     rows.sort(key=attrgetter("mu", "length_km"))
-    if output_path is not None:
-        config = {
-            "command": "qber-curves",
-            "mu": ",".join(f"{m:.17g}" for m in mu_list),
-            **_channel_config(delta, (l_min, l_max, l_step)),
-        }
-        write_sweep(output_path, rows, config, fmt)
     return rows
 
 
@@ -198,36 +184,13 @@ def _optimal_row(delta: float, length_km: float) -> SweepRow:
     return _qber_row(ProtocolParams(mu, delta=delta), length_km)._replace(mu_opt=mu)
 
 
-def sweep_optimal_intensity(
-    delta: float,
-    l_min: float,
-    l_max: float,
-    l_step: float,
-    output_path: Optional[str] = None,
-    fmt: str = "csv",
-) -> List[SweepRow]:
-    """Per length: the margin-optimal source intensity and both critical QBERs there."""
-    _check_format(fmt)
-    rows = [_optimal_row(delta, l) for l in length_grid(l_min, l_max, l_step)]
-    if output_path is not None:
-        config = {
-            "command": "optimal-intensity",
-            **_channel_config(delta, (l_min, l_max, l_step)),
-        }
-        write_sweep(output_path, rows, config, fmt)
-    return rows
+def sweep_optimal_intensity(delta: float, lengths: Sequence[float]) -> List[SweepRow]:
+    """Per length of lengths: the margin-optimal source intensity and both critical QBERs there."""
+    return [_optimal_row(delta, l) for l in lengths]
 
 
 # ---------------------------------------------------------------------------
 # serialisation
-
-def _channel_config(delta: float, grid: Tuple[float, float, float]) -> Dict[str, str]:
-    """The header keys both sweeps share, the attenuation and the length grid, at %.17g."""
-    return {
-        "delta": f"{delta:.17g}",
-        "length": ":".join(f"{x:.17g}" for x in grid),
-    }
-
 
 def _write(path: str, chunks: Iterable[str], what: str) -> None:
     """Write chunks to path without newline translation; every output file goes through here."""

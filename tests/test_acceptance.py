@@ -26,7 +26,7 @@ from cowsec.core import (
     holevo_two_pure,
 )
 from cowsec.montecarlo import decoy_distortion
-from cowsec.sweeps import run_montecarlo_validation, sweep_qber_curves
+from cowsec.sweeps import run_montecarlo_validation
 
 
 def verdict(number: int, description: str, ok: bool) -> None:
@@ -201,9 +201,11 @@ def test_criterion_09_determinism(tmp_path):
     reports_identical = code1 == code2 == 0 and out1.read_bytes() == out2.read_bytes()
 
     tables = [tmp_path / "s1.csv", tmp_path / "s2.csv"]
-    for table in tables:
-        sweep_qber_curves((0.1, 0.5), l_max=60.0, l_step=2.0, output_path=str(table))
-    sweeps_identical = tables[0].read_bytes() == tables[1].read_bytes()
+    codes = [
+        cli.main(["qber-curves", "--mu", "0.1,0.5", "--length", "0:60:2", "--out", str(table)])
+        for table in tables
+    ]
+    sweeps_identical = codes == [0, 0] and tables[0].read_bytes() == tables[1].read_bytes()
 
     verdict(9, "byte-identical validation reports and sweeps",
             reports_identical and sweeps_identical)

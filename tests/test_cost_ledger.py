@@ -23,6 +23,7 @@ COUNTED = (
     "cli.main",
     "sweeps.sweep_qber_curves",
     "sweeps.sweep_optimal_intensity",
+    "sweeps.length_grid",
     "sweeps.write_sweep",
     "sweeps.run_montecarlo_validation",
     "attacks.bs_attack",
@@ -56,6 +57,7 @@ LEDGER = {
         "core.binary_entropy_inverse": 119,
         "core.channel_point": 160,
         "core.holevo_two_pure": 80,
+        "sweeps.length_grid": 3,  # one grid per command
         "sweeps.sweep_qber_curves": 3,
         "sweeps.write_sweep": 3,
         "sweeps.write_sweep.bytes": 10622,
@@ -73,6 +75,7 @@ LEDGER = {
         "core.binary_entropy_inverse": 6,
         "core.channel_point": 9,
         "core.holevo_two_pure": 3,
+        "sweeps.length_grid": 3,  # one grid per command
         "sweeps.sweep_optimal_intensity": 3,
         "sweeps.write_sweep": 3,
         "sweeps.write_sweep.bytes": 1138,

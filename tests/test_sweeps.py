@@ -88,18 +88,6 @@ def read_json_table(path):
     return payload["metadata"], rows
 
 
-def small_sweep(tmp_path=None, fmt="csv"):
-    return sweep_qber_curves(
-        mu_list=(0.1, 0.5),
-        delta=0.2,
-        l_min=0.0,
-        l_max=60.0,
-        l_step=5.0,
-        output_path=str(tmp_path) if tmp_path else None,
-        fmt=fmt,
-    )
-
-
 # ---------------------------------------------------------------------------
 # sweep validation and grids
 
@@ -110,29 +98,24 @@ def small_sweep(tmp_path=None, fmt="csv"):
         {"mu_list": ()},
         {"mu_list": (0.1, -0.2)},
         {"mu_list": (0.1,), "delta": 0.0},
-        {"mu_list": (0.1,), "l_min": -1.0},
-        {"mu_list": (0.1,), "l_step": 0.0},
-        {"mu_list": (0.1,), "l_min": 10.0, "l_max": 5.0},
-        {"mu_list": (0.1,), "l_max": math.inf},
-        {"mu_list": (0.1,), "l_max": 1000.0, "l_step": 1e-4},
-        {"mu_list": (0.1,), "fmt": "xml"},
         {"mu_list": (math.nan,)},
         {"mu_list": (math.inf,)},
         {"mu_list": (0.1,), "delta": math.inf},
         {"mu_list": (0.1, 0.2, 0.1)},
         {"mu_list": (1, 1.0)},
     ],
+    # fixed ids, so that each case keeps its name when another is removed;
+    # length grids are checked by length_grid and formats by write_sweep
+    ids=[f"kwargs{k}" for k in (0, 1, 2, 9, 10, 11, 12, 13)],
 )
-def test_sweep_spec_validation(kwargs, tmp_path, monkeypatch):
-    # every setting is checked before a row is computed or a file opened
+def test_sweep_spec_validation(kwargs, monkeypatch):
+    # the intensities and delta are checked before a row is computed
     def no_row(*args):
         pytest.fail("a row was computed before the settings were checked")
 
     monkeypatch.setattr("cowsec.sweeps._qber_row", no_row)
-    out = tmp_path / "table"
     with pytest.raises(ValueError):
-        sweep_qber_curves(**kwargs, output_path=str(out))
-    assert not out.exists()
+        sweep_qber_curves(lengths=[0.0, 1.0], **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -227,12 +210,11 @@ def test_length_grid_allows_the_cap():
 
 
 def test_library_sweeps_reject_infinite_lengths():
+    # a grid from length_grid is finite; a hand-made one is checked where its row attenuates
     with pytest.raises(ValueError, match="finite"):
-        sweep_optimal_intensity(0.2, 0.0, math.inf, 1.0)
+        sweep_optimal_intensity(0.2, [math.inf])
     with pytest.raises(ValueError, match="finite"):
-        sweep_qber_curves((0.1,), l_max=math.inf)
-    with pytest.raises(ValueError, match="cap"):
-        sweep_qber_curves((0.1,), l_max=1e12, l_step=1e-6)
+        sweep_qber_curves((0.1,), [math.inf])
 
 
 @pytest.mark.parametrize("command", ["qber-curves", "optimal-intensity"])
@@ -255,7 +237,7 @@ def test_cli_rejects_huge_grid_without_allocating(command, tmp_path, capsys):
 
 
 def test_qber_sweep_shape_and_endpoints():
-    rows = sweep_qber_curves((0.1, 0.2, 0.5))
+    rows = sweep_qber_curves((0.1, 0.2, 0.5), length_grid(0.0, 150.0, 1.0))
     assert len(rows) == 3 * 151
     assert [r.mu for r in rows] == sorted(r.mu for r in rows)
     zero_length = [r for r in rows if r.length_km == 0.0]
@@ -269,7 +251,7 @@ def test_qber_sweep_shape_and_endpoints():
 
 def test_qber_sweep_sorts_rows_by_mu_then_length():
     lengths = length_grid(0.0, 60.0, 7.5)
-    rows = sweep_qber_curves((0.5, 0.1, 0.02), l_min=0.0, l_max=60.0, l_step=7.5)
+    rows = sweep_qber_curves((0.5, 0.1, 0.02), lengths)
     expected = []
     for mu in (0.02, 0.1, 0.5):
         params = ProtocolParams(mu=mu, delta=0.2)
@@ -298,7 +280,9 @@ def test_qber_sweep_sorts_rows_by_mu_then_length():
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_round_trip_preserves_rows_exactly(tmp_path, fmt):
     path = tmp_path / f"table.{fmt}"
-    rows = small_sweep(path, fmt=fmt)
+    argv = ["qber-curves", "--mu", "0.1,0.5", "--length", "0:60:5", "--format", fmt, "--out", str(path)]
+    assert cli.main(argv) == 0
+    rows = sweep_qber_curves((0.1, 0.5), length_grid(0.0, 60.0, 5.0))
     header, back = (read_csv_table if fmt == "csv" else read_json_table)(str(path))
     assert len(back) == len(rows)
     assert all(rows_equal(a, b) for a, b in zip(rows, back))
@@ -371,13 +355,13 @@ def test_csv_writer_matches_the_csv_module_on_awkward_values(tmp_path):
 
 
 def test_csv_writer_matches_the_csv_module_on_qber_sweeps(tmp_path):
-    rows = sweep_qber_curves((0.02, 0.5), l_max=80.0, l_step=2.5)
+    rows = sweep_qber_curves((0.02, 0.5), length_grid(0.0, 80.0, 2.5))
     assert all(math.isnan(r.mu_opt) for r in rows)  # the writer's NaN cells
     assert_written_as_oracle(tmp_path, rows)
 
 
 def test_csv_writer_matches_the_csv_module_on_optimal_intensity_sweep(tmp_path):
-    rows = sweep_optimal_intensity(0.2, 0.0, 120.0, 2.5)
+    rows = sweep_optimal_intensity(0.2, length_grid(0.0, 120.0, 2.5))
     assert_written_as_oracle(tmp_path, rows)
 
 
@@ -438,7 +422,7 @@ def test_write_sweep_unwritable_path_has_context():
 
 
 def test_optimal_intensity_sweep_rows():
-    rows = sweep_optimal_intensity(0.2, 10.0, 60.0, 10.0)
+    rows = sweep_optimal_intensity(0.2, length_grid(10.0, 60.0, 10.0))
     assert [r.length_km for r in rows] == [10.0, 20.0, 30.0, 40.0, 50.0, 60.0]
     for row in rows:
         assert row.mu_opt == row.mu
@@ -456,7 +440,7 @@ def test_optimal_intensity_sweep_rows():
 @pytest.mark.parametrize("delta", [0.2, 0.35])
 def test_optimal_intensity_sweep_margin_is_the_optimisers_margin(delta):
     # the rows take their margin from the plan, not from the optimiser
-    rows = sweep_optimal_intensity(delta, 0.0, 300.0, 0.5)
+    rows = sweep_optimal_intensity(delta, length_grid(0.0, 300.0, 0.5))
     for row in rows:
         assert row.margin == optimal_source_intensity(delta, row.length_km).margin
 
@@ -464,7 +448,7 @@ def test_optimal_intensity_sweep_margin_is_the_optimisers_margin(delta):
 def test_qber_sweep_columns_are_the_librarys_values_on_every_row():
     # secure rows and fully insecure ones: each mu turns fully insecure
     # inside the grid, from about 30 km at mu = 1.9 to 115 km at mu = 0.02
-    rows = sweep_qber_curves((0.02, 0.1, 0.5, 1.0, 1.9), l_max=150.0, l_step=0.5)
+    rows = sweep_qber_curves((0.02, 0.1, 0.5, 1.0, 1.9), length_grid(0.0, 150.0, 0.5))
     assert any(row.fully_insecure for row in rows) and not all(row.fully_insecure for row in rows)
     for row in rows:
         p = ProtocolParams(row.mu, delta=0.2)
@@ -491,17 +475,12 @@ def test_each_analysed_point_attenuates_only_in_its_channel_points(monkeypatch):
     for module in (core, attacks, montecarlo, sweeps, cli):
         if getattr(module, "attenuate", None) is attenuate:
             monkeypatch.setattr(module, "attenuate", counted)
-    rows = sweep_qber_curves([0.2], l_min=0, l_max=150, l_step=10)
+    rows = sweep_qber_curves([0.2], length_grid(0, 150, 10))
     assert (len(rows), len(calls)) == (16, 32)
     calls.clear()
     # one plan each for the attacked run and the report, one lossy line for the baseline
     decoy_distortion(ProtocolParams(0.2), 20.0, 0.1, 64, 1)
     assert len(calls) == 3
-
-
-def test_optimal_intensity_sweep_rejects_bad_range():
-    with pytest.raises(ValueError, match="ends below its start"):
-        sweep_optimal_intensity(0.2, 10.0, 5.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1079,14 +1058,48 @@ def test_only_the_simulator_takes_a_decoy_fraction():
 
 def test_every_qber_table_carries_both_attacks():
     # no attack selection: a row without the active analysis cannot be built,
-    # so fully_insecure never falls back to a default of False
-    assert "attacks" not in inspect.signature(sweep_qber_curves).parameters
+    # so fully_insecure never falls back to a default of False; the sweeps
+    # take a built length grid and no output settings
+    signatures = {
+        sweep: [(p.name, p.default) for p in inspect.signature(sweep).parameters.values()]
+        for sweep in (sweep_qber_curves, sweep_optimal_intensity)
+    }
+    empty = inspect.Parameter.empty
+    assert signatures == {
+        sweep_qber_curves: [("mu_list", empty), ("lengths", empty), ("delta", 0.2)],
+        sweep_optimal_intensity: [("delta", empty), ("lengths", empty)],
+    }
     assert list(SweepRow._field_defaults) == ["mu_opt"]
-    rows = sweep_qber_curves((0.1, 0.5), l_max=150.0, l_step=10.0)
+    rows = sweep_qber_curves((0.1, 0.5), length_grid(0.0, 150.0, 10.0))
     for row in rows:
         assert all(map(math.isfinite, (row.qber_bs, row.qber_active, row.margin))), row
         assert row.fully_insecure == (row.qber_active == 0), row
     assert {row.fully_insecure for row in rows} == {True, False}
+
+
+def test_only_the_cli_builds_a_table_header_and_names_its_commands():
+    # a sweep computes rows; the header that names the command writing a
+    # table is built in cli.py, the one home of the command names (string
+    # constants of code count, docstrings do not)
+    words = ("command", "qber-curves", "optimal-intensity")
+    found = set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        docstrings = {
+            node.body[0].value
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body
+            and isinstance(node.body[0], ast.Expr)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and node not in docstrings:
+                found.update(
+                    (path.stem, word)
+                    for word in words
+                    if (node.value == word if word == "command" else word in node.value)
+                )
+    assert found == {("cli", word) for word in words}
 
 
 def test_one_function_opens_files_and_it_translates_no_newlines():
