@@ -20,11 +20,10 @@ from typing import NamedTuple, Optional
 
 from .core import (
     ProtocolParams,
-    attenuate,
     binary_entropy_inverse,
     channel_point,
-    coherent_pair_overlap,
     holevo_two_pure,
+    transmittance,
 )
 
 __all__ = [
@@ -88,12 +87,15 @@ def bs_attack(params: ProtocolParams, length_km: float) -> AttackReport:
     """Passive beam-splitting attack with collective decoding.
 
     Eve diverts the whole loss budget mu_e_max and is bounded by the
-    Holevo quantity of her two single-slot coherent states. Her
-    information stays below one bit at any finite length, so the critical
-    QBER never reaches zero.
+    Holevo quantity of her two single-slot coherent states. The bit-0 and
+    bit-1 states differ by which of the two time slots carries the pulse,
+    so their inner product factorises into two coherent-vacuum overlaps of
+    exp(-mu_e_max/2) each, giving exp(-mu_e_max). Her information stays
+    below one bit at any finite length, so the critical QBER never reaches
+    zero.
     """
     point = channel_point(params, length_km)
-    return _report(holevo_two_pure(coherent_pair_overlap(point.mu_e_max)))
+    return _report(holevo_two_pure(math.exp(-point.mu_e_max)))
 
 
 def _report(i_ae: float, plan: Optional[ActiveAttackPlan] = None) -> AttackReport:
@@ -240,7 +242,7 @@ def optimal_source_intensity(delta: float, length_km: float) -> OptimalIntensity
     optimum is too dim for double precision to resolve) is returned, not
     raised.
     """
-    t = attenuate(1.0, delta, length_km)
+    t = transmittance(delta, length_km)
     if t >= 0.5:
         mu_star = -math.log1p(-t) / t if t < 1.0 else math.inf
     else:

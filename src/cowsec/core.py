@@ -1,8 +1,8 @@
 """Mathematical primitives for coherent-state QKD security analysis.
 
-Everything here is a pure function of its arguments: fibre attenuation,
-coherent-state overlaps, the binary entropy and its inverse on the lower
-branch, and the Holevo bound for a pair of equiprobable pure states.
+Everything here is a pure function of its arguments: the fibre
+transmittance, the binary entropy and its inverse on the lower branch,
+and the Holevo bound for a pair of equiprobable pure states.
 Information quantities are in bits (base-2 logarithms throughout).
 """
 
@@ -16,10 +16,9 @@ __all__ = [
     "ProtocolParams",
     "ChannelPoint",
     "channel_point",
-    "attenuate",
+    "transmittance",
     "binary_entropy",
     "binary_entropy_inverse",
-    "coherent_pair_overlap",
     "holevo_two_pure",
 ]
 
@@ -74,22 +73,20 @@ class ChannelPoint(NamedTuple):
 
 def channel_point(params: ProtocolParams, length_km: float) -> ChannelPoint:
     """Derive Bob's intensity and the divertable budget at a given length."""
-    mu_b = attenuate(params.mu, params.delta, length_km)
+    mu_b = params.mu * transmittance(params.delta, length_km)
     return ChannelPoint(mu_b, params.mu - mu_b)
 
 
-def attenuate(mu: float, delta: float, length_km: float) -> float:
-    """Intensity after length_km of fibre with loss delta dB/km.
+def transmittance(delta: float, length_km: float) -> float:
+    """Share of the intensity left after length_km of fibre with loss delta dB/km.
 
-    Returns mu * 10**(-delta*length_km/10).
+    Returns 10**(-delta*length_km/10).
     """
-    if not 0 < mu < math.inf:
-        raise ValueError(f"intensity must be positive and finite, got {mu}")
     if not 0 < delta < math.inf:
         raise ValueError(f"attenuation coefficient must be positive and finite, got {delta}")
     if not 0 <= length_km < math.inf:
         raise ValueError(f"channel length must be non-negative and finite, got {length_km}")
-    return mu * 10.0 ** (-delta * length_km / 10.0)
+    return 10.0 ** (-delta * length_km / 10.0)
 
 
 def binary_entropy(q: float) -> float:
@@ -195,18 +192,6 @@ def _bisect(y: float, lo: float, hi: float) -> float:
 def _binomial_se(p: float, n: int) -> float:
     """Standard error sqrt(p(1-p)/n) of a rate p over n trials; NaN when n is 0."""
     return math.sqrt(p * (1.0 - p) / n) if n else math.nan
-
-
-def coherent_pair_overlap(mu_e: float) -> float:
-    """Overlap of the two single-slot coherent states an eavesdropper holds.
-
-    The bit-0 and bit-1 states differ by which of the two time slots
-    carries the pulse, so the inner product factorises into two
-    coherent-vacuum overlaps of exp(-mu_e/2) each, giving exp(-mu_e).
-    """
-    if not mu_e >= 0:
-        raise ValueError(f"intensity must be non-negative, got {mu_e}")
-    return math.exp(-mu_e)
 
 
 def holevo_two_pure(overlap: float) -> float:

@@ -32,7 +32,6 @@ from cowsec.attacks import (
 )
 from cowsec.core import (
     ProtocolParams,
-    attenuate,
     binary_entropy,
     binary_entropy_inverse,
     channel_point,
@@ -191,7 +190,7 @@ def test_active_plan_zero_diversion():
     p = params(0.4)
     plan = active_plan(p, 25.0, 0.0)
     assert plan.p_conc_inf == 0.0
-    mu_b = attenuate(0.4, 0.2, 25.0)
+    mu_b = channel_point(p, 25.0).mu_b
     # (1-b)(1-e^-mu) = 1-e^-mu_b
     expected_b = 1.0 - math.expm1(-mu_b) / math.expm1(-0.4)
     assert plan.block_fraction == pytest.approx(expected_b, abs=1e-14)
@@ -366,7 +365,7 @@ def test_critical_length_unit_normalising_delta():
 
 @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
 def test_critical_length_domain(delta):
-    # the attenuation checks of ProtocolParams and attenuate, message included
+    # the attenuation checks of ProtocolParams and transmittance, message included
     with pytest.raises(ValueError, match="attenuation coefficient must be positive and finite"):
         critical_length(delta)
 
@@ -397,7 +396,7 @@ def test_active_attack_fully_insecure_beyond_threshold():
     assert report.i_ae == 1.0
     assert report.qber_critical == 0.0
     # cap reachability: Bob's expected rate fits inside Eve's conclusive stream
-    mu_b = attenuate(0.5, 0.2, 60.0)
+    mu_b = channel_point(params(0.5), 60.0).mu_b
     assert -math.expm1(-mu_b) <= (-math.expm1(-0.25)) ** 2
 
 

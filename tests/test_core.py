@@ -16,23 +16,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cowsec.core
+from cowsec.attacks import bs_attack, critical_length
 from cowsec.core import (
     ChannelPoint,
     ProtocolParams,
-    attenuate,
     binary_entropy,
     binary_entropy_inverse,
     channel_point,
-    coherent_pair_overlap,
     holevo_two_pure,
+    transmittance,
 )
 
 # mpmath, 50 dps: 0.2 * 10**(-0.2*30/10)
 ATTENUATE_02_02_30 = 0.050237728630191602222
 # mpmath, 50 dps: -q*log2(q) - (1-q)*log2(1-q) at q = 0.25
 H2_QUARTER = 0.81127812445913286391
-# mpmath, 50 dps: exp(-0.45)
-OVERLAP_045 = 0.63762815162177329314
+# mpmath, 50 dps: h2((1 + exp(-0.45))/2)
+HOLEVO_OVERLAP_045 = 0.68266454384189751288
 
 
 # ---------------------------------------------------------------------------
@@ -147,20 +147,20 @@ def inverse_mismatches(ys) -> list:
 
 
 def test_attenuate_zero_length_is_identity():
-    assert attenuate(0.5, 0.2, 0.0) == 0.5
+    assert transmittance(0.2, 0.0) == 1.0
 
 
 def test_attenuate_exact_decade():
     # exponent is exactly -1
-    assert attenuate(0.5, 0.2, 50.0) == 0.05
+    assert 0.5 * transmittance(0.2, 50.0) == 0.05
 
 
 def test_attenuate_frozen_value():
-    assert attenuate(0.2, 0.2, 30.0) == pytest.approx(ATTENUATE_02_02_30, rel=1e-14)
+    assert 0.2 * transmittance(0.2, 30.0) == pytest.approx(ATTENUATE_02_02_30, rel=1e-14)
 
 
 def test_attenuate_strictly_decreasing_in_length():
-    values = [attenuate(0.3, 0.2, l) for l in np.linspace(0, 120, 60)]
+    values = [transmittance(0.2, l) for l in np.linspace(0, 120, 60)]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
@@ -168,8 +168,10 @@ def test_attenuate_strictly_decreasing_in_length():
 @pytest.mark.parametrize("delta", [0.15, 0.2, 0.35])
 @pytest.mark.parametrize("l1,l2", [(0.0, 7.3), (3.7, 12.9), (25.0, 55.0)])
 def test_attenuate_multiplicative_in_length(mu, delta, l1, l2):
-    combined = attenuate(mu, delta, l1 + l2)
-    chained = attenuate(attenuate(mu, delta, l1), delta, l2)
+    # Bob's intensity after l1 + l2 is the one after l1 sent through l2 more
+    combined = channel_point(ProtocolParams(mu, delta), l1 + l2).mu_b
+    halfway = channel_point(ProtocolParams(mu, delta), l1).mu_b
+    chained = channel_point(ProtocolParams(halfway, delta), l2).mu_b
     assert chained == pytest.approx(combined, rel=1e-12)
 
 
@@ -189,8 +191,12 @@ def test_attenuate_multiplicative_in_length(mu, delta, l1, l2):
     ],
 )
 def test_attenuate_domain_errors(mu, delta, l):
+    # ProtocolParams rejects a bad mu or delta, and transmittance a bad delta or length on its own
     with pytest.raises(ValueError):
-        attenuate(mu, delta, l)
+        channel_point(ProtocolParams(mu, delta), l)
+    if 0 < mu < math.inf:
+        with pytest.raises(ValueError):
+            transmittance(delta, l)
 
 
 # ---------------------------------------------------------------------------
@@ -413,28 +419,20 @@ def test_entropy_inverse_falls_back_when_the_cell_check_fails(monkeypatch, step_
 # overlaps and the Holevo bound
 
 
-def test_overlap_identical_states():
-    assert coherent_pair_overlap(0.0) == 1.0
-
-
-def test_overlap_asymptotic_orthogonality():
-    assert coherent_pair_overlap(800.0) == pytest.approx(0.0, abs=1e-300)
-
-
 def test_overlap_frozen_value():
-    assert coherent_pair_overlap(0.45) == pytest.approx(OVERLAP_045, abs=1e-15)
+    # Eve's budget at the exact decade is exactly 0.45, and her states overlap by exp(-0.45)
+    assert bs_attack(ProtocolParams(0.5), 50.0).i_ae == pytest.approx(HOLEVO_OVERLAP_045, abs=1e-15)
 
 
 @pytest.mark.parametrize("mu_e", [0.0, 0.05, 0.45, 1.0, 2.0])
 def test_overlap_matches_fock_oracle(mu_e):
-    assert coherent_pair_overlap(mu_e) == pytest.approx(fock_pair_overlap(mu_e), abs=1e-14)
-
-
-def test_overlap_domain():
-    with pytest.raises(ValueError):
-        coherent_pair_overlap(-0.1)
-    with pytest.raises(ValueError):
-        coherent_pair_overlap(math.nan)
+    # Eve's budget is nothing at 0 km and half the source at the critical length
+    p = ProtocolParams(2.0 * mu_e if mu_e else 0.5)
+    length = critical_length(p.delta) if mu_e else 0.0
+    budget = channel_point(p, length).mu_e_max
+    assert budget == pytest.approx(mu_e, abs=1e-15)
+    oracle = holevo_two_pure(fock_pair_overlap(budget))
+    assert bs_attack(p, length).i_ae == pytest.approx(oracle, abs=1e-13)
 
 
 def test_holevo_endpoints_exact():
@@ -458,7 +456,7 @@ def test_holevo_monotone_decreasing_in_overlap():
 
 def test_holevo_of_overlap_monotone_in_intensity():
     # more diverted light -> smaller overlap -> more extractable information
-    values = [holevo_two_pure(coherent_pair_overlap(x)) for x in np.linspace(0.0, 3.0, 301)]
+    values = [holevo_two_pure(math.exp(-x)) for x in np.linspace(0.0, 3.0, 301)]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 

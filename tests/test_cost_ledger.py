@@ -33,7 +33,7 @@ COUNTED = (
     "attacks.optimal_source_intensity",
     "attacks.fully_insecure_length",
     "core.channel_point",
-    "core.attenuate",
+    "core.transmittance",
     "core.binary_entropy_inverse",
     "core.binary_entropy",
     "core.holevo_two_pure",
@@ -52,11 +52,11 @@ LEDGER = {
         "attacks.active_plan": 80,
         "attacks.bs_attack": 80,
         "cli.main": 3,
-        "core.attenuate": 160,
         "core.binary_entropy": 1520,
         "core.binary_entropy_inverse": 119,
         "core.channel_point": 160,
         "core.holevo_two_pure": 80,
+        "core.transmittance": 160,
         "sweeps.length_grid": 3,  # one grid per command
         "sweeps.sweep_qber_curves": 3,
         "sweeps.write_sweep": 3,
@@ -70,11 +70,11 @@ LEDGER = {
         "attacks.key_rate_margin": 3,
         "attacks.optimal_source_intensity": 3,
         "cli.main": 3,
-        "core.attenuate": 12,
         "core.binary_entropy": 78,
         "core.binary_entropy_inverse": 6,
         "core.channel_point": 9,
         "core.holevo_two_pure": 3,
+        "core.transmittance": 12,
         "sweeps.length_grid": 3,  # one grid per command
         "sweeps.sweep_optimal_intensity": 3,
         "sweeps.write_sweep": 3,
@@ -84,8 +84,8 @@ LEDGER = {
         "ops": 2,
         "attacks.active_plan": 6,  # three per validation
         "cli.main": 2,
-        "core.attenuate": 10,
         "core.channel_point": 10,
+        "core.transmittance": 10,
         "montecarlo._words.words": 147456,
         "montecarlo.blocking_probability": 6,
         "montecarlo.decoy_distortion": 2,
@@ -104,11 +104,11 @@ LEDGER = {
         "attacks.fully_insecure_length": 5,
         "attacks.key_rate_margin": 5,
         "cli.main": 5,
-        "core.attenuate": 20,
         "core.binary_entropy": 111,
         "core.binary_entropy_inverse": 8,
         "core.channel_point": 20,
         "core.holevo_two_pure": 5,
+        "core.transmittance": 20,
     },
 }
 

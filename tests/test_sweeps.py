@@ -459,22 +459,22 @@ def test_qber_sweep_columns_are_the_librarys_values_on_every_row():
 
 
 def test_each_analysed_point_attenuates_only_in_its_channel_points(monkeypatch):
-    # every module binding of core.attenuate is counted, as bench/trace.py
+    # every module binding of core.transmittance is counted, as bench/trace.py
     # patches them: a row attenuates in bs_attack's and active_attack's
     # channel points, and its margin is the plan's
     from cowsec import attacks, core, montecarlo, sweeps
     from cowsec.montecarlo import decoy_distortion
 
     calls = []
-    attenuate = core.attenuate
+    transmittance = core.transmittance
 
     def counted(*args):
         calls.append(args)
-        return attenuate(*args)
+        return transmittance(*args)
 
     for module in (core, attacks, montecarlo, sweeps, cli):
-        if getattr(module, "attenuate", None) is attenuate:
-            monkeypatch.setattr(module, "attenuate", counted)
+        if getattr(module, "transmittance", None) is transmittance:
+            monkeypatch.setattr(module, "transmittance", counted)
     rows = sweep_qber_curves([0.2], length_grid(0, 150, 10))
     assert (len(rows), len(calls)) == (16, 32)
     calls.clear()
