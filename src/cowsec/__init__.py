@@ -10,7 +10,7 @@ both sides, and cross-validates every closed-form rate with a
 pulse-level Monte Carlo simulator.
 
 Modules:
-    core        attenuation, entropies, overlaps, Holevo bound
+    core        fibre transmittance, binary entropy and its inverse, Holevo bound
     attacks     the two attack analyses and both optimisations
     montecarlo  seeded pulse-level simulation and distortion reports
     sweeps      parameter sweeps, CSV/JSON tables, validation harness

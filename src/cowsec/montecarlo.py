@@ -343,6 +343,7 @@ def _stream_pair(
     decoy_fraction: float,
     n_pulses: int,
     seed: int,
+    *,
     mu_e: Optional[float] = None,
 ) -> Tuple[TrialStats, TrialStats]:
     """The attacked run at seed and the unattacked baseline at _baseline_seed(seed)."""
@@ -401,6 +402,7 @@ def decoy_distortion(
     decoy_fraction: float,
     n_pulses: int,
     seed: int,
+    *,
     mu_e: Optional[float] = None,
 ) -> DistortionReport:
     """Compare Bob's detection-pattern statistics with and without the attack at mu_e.
@@ -419,7 +421,7 @@ def decoy_distortion(
     (mu_b_prime = mu_b, b = 0), which distorts nothing and never flags.
     The report carries that plan, from which its expected cells come.
     """
-    attacked, baseline = _stream_pair(params, length_km, decoy_fraction, n_pulses, seed, mu_e)
+    attacked, baseline = _stream_pair(params, length_km, decoy_fraction, n_pulses, seed, mu_e=mu_e)
     plan = active_plan(params, length_km, mu_e)
     expect_no = _pattern_probabilities(plan.p_lossy_click, 0.0, 0.0)
     # Eve blocks inconclusive pulses at beta and finds decoys inconclusive

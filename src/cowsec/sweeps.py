@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import chain
-from operator import attrgetter, lt
+from operator import lt
 from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__
@@ -45,11 +45,6 @@ _FORMATS = ("csv", "json")
 
 # Largest length grid length_grid builds; checked before anything is allocated.
 _MAX_GRID_POINTS = 10**6
-
-
-def _check_format(fmt: str) -> None:
-    if fmt not in _FORMATS:
-        raise ValueError(f"format must be one of {_FORMATS}, got {fmt}")
 
 
 class SweepRow(NamedTuple):
@@ -162,19 +157,15 @@ def sweep_qber_curves(
     lengths is a grid that length_grid built. Every row compares the
     passive and the active beam-splitting attack. The intensities and
     delta are checked before any row is computed; a repeated intensity is
-    rejected. Rows come back sorted by (mu, length).
+    rejected. Rows come in ascending mu, each over lengths in grid order.
     """
     if not mu_list:
         raise ValueError("mu_list must not be empty")
-    params_list = [ProtocolParams(mu, delta=delta) for mu in mu_list]
-    seen = set()  # equal numbers are one intensity (1 and 1.0)
-    for mu in mu_list:
-        if mu in seen:
-            raise ValueError(f"source intensity {mu!r} is repeated")
-        seen.add(mu)
-    rows = [_qber_row(params, l) for params in params_list for l in lengths]
-    rows.sort(key=attrgetter("mu", "length_km"))
-    return rows
+    params_list = sorted(ProtocolParams(mu, delta=delta) for mu in mu_list)
+    for earlier, params in zip(params_list, params_list[1:]):
+        if params.mu == earlier.mu:  # equal numbers are one intensity (1 and 1.0)
+            raise ValueError(f"source intensity {params.mu!r} is repeated")
+    return [_qber_row(params, l) for params in params_list for l in lengths]
 
 
 def _optimal_row(delta: float, length_km: float) -> SweepRow:
@@ -209,7 +200,8 @@ def write_sweep(path: str, rows: Sequence[SweepRow], config: Dict[str, str], fmt
     once per table. The file goes through _write, the writer of the
     validation report too.
     """
-    _check_format(fmt)
+    if fmt not in _FORMATS:
+        raise ValueError(f"format must be one of {_FORMATS}, got {fmt}")
     meta = {"tool": "cowsec", "version": __version__, **config, "format": fmt}
     if fmt == "json":
         chunks = [_json_text({"metadata": meta, "rows": [r._asdict() for r in rows]})]

@@ -596,7 +596,7 @@ def test_validation_takes_the_one_plan_its_distortion_report_carries(f, length):
     p = ProtocolParams(mu=0.2)
     budget = channel_point(p, length).mu_e_max
     for mu_e in (None, 0.4 * budget, budget):
-        assert decoy_distortion(p, length, f, 1000, 3, mu_e).plan == active_plan(p, length, mu_e)
+        assert decoy_distortion(p, length, f, 1000, 3, mu_e=mu_e).plan == active_plan(p, length, mu_e)
     report = run_montecarlo_validation(p, length, f, 1000, 3)
     plan = report.distortion.plan
     assert plan == active_plan(p, length)
@@ -1044,6 +1044,7 @@ def test_only_the_simulator_takes_a_decoy_fraction():
     for entry, keywords in (
         (montecarlo.simulate_no_attack, []),
         (montecarlo.simulate_active_attack, ["mu_e"]),
+        (montecarlo.decoy_distortion, ["mu_e"]),
     ):
         parameters = inspect.signature(entry).parameters.values()
         assert [p.name for p in parameters] == positional + keywords, entry.__name__
@@ -1051,6 +1052,8 @@ def test_only_the_simulator_takes_a_decoy_fraction():
         assert kinds == [False] * len(positional) + [True] * len(keywords), entry.__name__
     with pytest.raises(TypeError):
         montecarlo.simulate_active_attack(ProtocolParams(0.2), 20.0, 0.1, 10, 42, 0)
+    with pytest.raises(TypeError):
+        montecarlo.decoy_distortion(ProtocolParams(0.2), 20.0, 0.1, 10, 42, 0.05)
     package = Path(cli.__file__).parent
     readers = [path.stem for path in sorted(package.glob("*.py")) if "decoy_fraction" in path.read_text()]
     assert readers == ["cli", "montecarlo", "sweeps"]
