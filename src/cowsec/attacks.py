@@ -53,8 +53,12 @@ class ActiveAttackPlan(NamedTuple):
     information pulses Eve suppresses, capped at her inconclusive
     probability on them, 1 - p_conc_inf. p_lossy_click, Bob's click
     probability 1 - exp(-mu_b) over the lossy line, is the rate b
-    balances. i_ae, Eve's information per sifted bit, and margin, the
-    secret bits per sent pulse left to Alice and Bob, come from these rates.
+    balances; p_forward_click, his click probability 1 - exp(-mu_b_prime)
+    per occupied slot of a forwarded pulse, is the rate b thins. Eve
+    blocks each inconclusive pulse, decoys included, with probability
+    p_block = b / (1 - p_conc_inf), at most one by the cap on b. i_ae,
+    Eve's information per sifted bit, and margin, the secret bits per
+    sent pulse left to Alice and Bob, come from these rates.
     """
 
     mu_e: float
@@ -63,6 +67,8 @@ class ActiveAttackPlan(NamedTuple):
     p_conc_inf: float
     p_conc_cont: float
     p_lossy_click: float
+    p_forward_click: float
+    p_block: float
     i_ae: float
     margin: float
 
@@ -119,17 +125,18 @@ def active_plan(
     The blocking fraction balances the intensity budget: Bob's expected
     conclusive rate at the raised forward intensity mu_b_prime, thinned by
     blocking, must equal his rate over the ordinary lossy fibre,
-    (1 - b) * (1 - exp(-mu_b_prime)) = 1 - exp(-mu_b). Blocking beyond
-    Eve's inconclusive fraction on information states is useless, so the
-    raw balance value is capped there, and clamped at zero for a mu_e
-    within rounding of the budget. A mu_e above the budget by more than
-    1e-12 * mu is rejected; within that it is the full budget, where Eve
-    forwards mu_b itself and blocks nothing, as in the exact model
-    (mu - mu_e_max cancels once mu_b / mu nears machine epsilon).
+    (1 - b) * p_forward_click = p_lossy_click. Blocking beyond Eve's
+    inconclusive fraction on information states is useless, so the raw
+    balance value is capped there, which keeps p_block at most one, and
+    clamped at zero for a mu_e within rounding of the budget. A mu_e above
+    the budget by more than 1e-12 * mu is rejected; within that it is the
+    full budget, where Eve forwards mu_b itself and blocks nothing, as in
+    the exact model (mu - mu_e_max cancels once mu_b / mu nears machine
+    epsilon).
 
     Eve knows the delivered bits her measurement resolved: without blocking
     i_ae = p_conc_inf and the margin is C * exp(-mu_e), C = p_lossy_click;
-    with it, at her rate K = p_conc_inf * (1 - exp(-mu_b_prime)), i_ae = K / C
+    with it, at her rate K = p_conc_inf * p_forward_click, i_ae = K / C
     and the margin C - K, or one and zero where K >= C (from the cap on).
     """
     point = channel_point(params, length_km)
@@ -149,11 +156,12 @@ def active_plan(
     # that of two independent threshold detections: 1 - exp(-2*mu_e).
     p_conc_cont = -math.expm1(-2.0 * mu_e)
     if mu_e == point.mu_e_max:
-        mu_b_prime, b = point.mu_b, 0.0
+        mu_b_prime, p_fwd, b = point.mu_b, p_lossy_click, 0.0
     else:
         mu_b_prime = params.mu - mu_e
         p_fwd = -math.expm1(-mu_b_prime)
         b = max(0.0, min(1.0 - p_lossy_click / p_fwd, 1.0 - p_conc_inf))
+    p_block = b / (1.0 - p_conc_inf) if b > 0.0 else 0.0
 
     if b == 0.0 or p_conc_inf == 0.0:  # also where C underflows
         i_ae = p_conc_inf
@@ -164,7 +172,9 @@ def active_plan(
             i_ae, margin = 1.0, 0.0
         else:
             i_ae, margin = known / p_lossy_click, p_lossy_click - known
-    return ActiveAttackPlan(mu_e, mu_b_prime, b, p_conc_inf, p_conc_cont, p_lossy_click, i_ae, margin)
+    return ActiveAttackPlan(
+        mu_e, mu_b_prime, b, p_conc_inf, p_conc_cont, p_lossy_click, p_fwd, p_block, i_ae, margin
+    )
 
 
 def critical_length(delta: float) -> float:

@@ -9,8 +9,10 @@ blocking imprints on the decoy statistics. Each entry point takes the
 decoy fraction f, which no closed form reads, as a required argument
 after the length. The attacked entry points take Eve's one free
 parameter, the diverted intensity mu_e (None for her optimum), and run
-the closed forms' plan active_plan(params, length_km, mu_e), in which b
-is the share of information pulses Eve blocks.
+the closed forms' plan active_plan(params, length_km, mu_e): Bob's slots
+click with its p_forward_click, Eve's with its p_conc_inf, and she blocks
+each inconclusive pulse with its p_block, so that a share b of
+information pulses is blocked on average.
 
 Randomness is counter-based: every draw is SplitMix64(seed, pulse
 index, draw slot), so a pulse's outcome depends only on the seed and its
@@ -44,7 +46,6 @@ __all__ = [
     "TrialStats",
     "PatternRow",
     "DistortionReport",
-    "blocking_probability",
     "simulate_no_attack",
     "simulate_active_attack",
     "decoy_distortion",
@@ -116,22 +117,6 @@ def _below(z: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
         out.fill(True)
         return out
     return np.less(z, np.uint64(math.ceil(p * 2.0**53) << 11), out=out)
-
-
-def blocking_probability(plan: ActiveAttackPlan) -> float:
-    """Per-inconclusive-pulse blocking probability realising the plan's b.
-
-    Eve blocks only pulses that were inconclusive for her, i.i.d. with
-    probability beta = b / (1 - p_conc_inf), decoys included: she cannot
-    tell an inconclusive decoy from an inconclusive information pulse.
-    The expected blocked share of information pulses is then exactly the
-    plan's block_fraction b, and the cap b <= 1 - p_conc_inf keeps beta
-    at most one. Zero when nothing is blocked, also where p_conc_inf
-    rounds to one.
-    """
-    if plan.block_fraction == 0.0:
-        return 0.0
-    return plan.block_fraction / (1.0 - plan.p_conc_inf)
 
 
 class ClassTally(NamedTuple):
@@ -326,15 +311,16 @@ def simulate_active_attack(
     Runs active_plan(params, length_km, mu_e), Eve's optimum when mu_e is
     None. The beam splitter sends independent coherent pulses of intensity
     mu_e to Eve and mu_b_prime toward Bob. Eve measures both slots, each
-    one conclusive with the plan's p_conc_inf = 1 - exp(-mu_e), blocks
-    inconclusive pulses i.i.d. per blocking_probability, so that a share
-    b of information pulses is blocked on average, and forwards the rest
-    losslessly.
+    one conclusive with the plan's p_conc_inf, blocks inconclusive pulses
+    i.i.d. with its p_block, decoys included, since she cannot tell an
+    inconclusive decoy from an inconclusive information pulse, and
+    forwards the rest losslessly, where each occupied slot clicks for Bob
+    with its p_forward_click.
     """
     plan = active_plan(params, length_km, mu_e)
-    p_bob = -math.expm1(-plan.mu_b_prime)
-    beta = blocking_probability(plan)
-    return _simulate(decoy_fraction, p_bob, plan.p_conc_inf, beta, n_pulses, seed)
+    return _simulate(
+        decoy_fraction, plan.p_forward_click, plan.p_conc_inf, plan.p_block, n_pulses, seed
+    )
 
 
 def _stream_pair(
@@ -418,18 +404,18 @@ def decoy_distortion(
     fell in. The attack is
     active_plan(params, length_km, mu_e), Eve's optimum when mu_e is None;
     at the full budget she forwards the expected intensity unblocked
-    (mu_b_prime = mu_b, b = 0), which distorts nothing and never flags.
-    The report carries that plan, from which its expected cells come.
+    (p_forward_click = p_lossy_click, p_block = 0), which distorts nothing
+    and never flags. The report carries that plan, from which its expected
+    cells come: the unattacked ones from p_lossy_click, the attacked ones
+    from p_forward_click, b and p_block.
     """
     attacked, baseline = _stream_pair(params, length_km, decoy_fraction, n_pulses, seed, mu_e=mu_e)
     plan = active_plan(params, length_km, mu_e)
     expect_no = _pattern_probabilities(plan.p_lossy_click, 0.0, 0.0)
-    # Eve blocks inconclusive pulses at beta and finds decoys inconclusive
-    # less often: b on information pulses, exp(-2 mu_e) * beta on decoys.
+    # Eve blocks inconclusive pulses at p_block and finds decoys inconclusive
+    # less often: b on information pulses, exp(-2 mu_e) * p_block on decoys.
     expect_att = _pattern_probabilities(
-        -math.expm1(-plan.mu_b_prime),
-        plan.block_fraction,
-        math.exp(-2.0 * plan.mu_e) * blocking_probability(plan),
+        plan.p_forward_click, plan.block_fraction, math.exp(-2.0 * plan.mu_e) * plan.p_block
     )
 
     rows = []

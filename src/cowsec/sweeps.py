@@ -321,12 +321,12 @@ def run_montecarlo_validation(
     report's config lists it between mu and delta.
 
     Checks Bob's information-state click rate against the rate the plan
-    delivers, (1 - b)(1 - exp(-mu_b_prime)), Eve's conclusive rate, the
+    delivers, (1 - b) * p_forward_click, Eve's conclusive rate, the
     blocked share of information pulses against the plan's b, and the
     empirical information proxy (share of Bob's sifted bits Eve knows)
     against the plan's i_ae, each at the 4-sigma level, plus the unattacked
     baseline rates. The delivered click rate equals the lossy line's
-    C = 1 - exp(-mu_b) wherever the plan balances the budget; beyond the
+    C = p_lossy_click wherever the plan balances the budget; beyond the
     fully-insecure length the capped plan cannot, and Bob sees fewer clicks
     than the lossy line would give. The plan is the attached
     decoy-distortion report's plan, and Bob's expected rates are its

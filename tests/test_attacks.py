@@ -259,6 +259,29 @@ def test_active_plan_cap_reached_on_long_channel():
     assert balanced_block_fraction(params(0.5), 60.0, plan) > plan.block_fraction
 
 
+def test_plan_carries_the_probabilities_the_simulator_draws_with():
+    # Bob's click probability per forwarded slot, 1 - exp(-mu_b_prime), and
+    # Eve's per inconclusive pulse, b / (1 - p_conc_inf), bit for bit: over
+    # 0:150:0.05 km at four diversions, then at the simulator's kernel
+    # branches (default, blocking cap, blocking without Eve, full budget, bright)
+    points = [
+        (mu, 0.05 * i, share)
+        for mu in (0.02, 0.1, 0.9, 2.0, 50.0)
+        for i in range(3001)
+        for share in (None, 0.0, 0.4, 1.0)
+    ]
+    points += [(0.2, 20.0, None), (0.5, 60.0, None), (0.2, 20.0, 0.0), (0.2, 5.0, None)]
+    points += [(1.0, 40.0, None)]
+    for mu, length, share in points:
+        p = params(mu)
+        mu_e = None if share is None else share * channel_point(p, length).mu_e_max
+        plan = active_plan(p, length, mu_e)
+        b = plan.block_fraction
+        p_block = 0.0 if b == 0.0 else b / (1.0 - plan.p_conc_inf)
+        assert plan.p_forward_click.hex() == (-math.expm1(-plan.mu_b_prime)).hex(), (mu, length)
+        assert plan.p_block.hex() == p_block.hex() and p_block <= 1.0, (mu, length, share)
+
+
 # ---------------------------------------------------------------------------
 # Eve's information
 

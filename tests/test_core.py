@@ -28,7 +28,7 @@ from cowsec.core import (
 )
 
 # mpmath, 50 dps: 0.2 * 10**(-0.2*30/10)
-ATTENUATE_02_02_30 = 0.050237728630191602222
+MU_B_02_02_30 = 0.050237728630191602222
 # mpmath, 50 dps: -q*log2(q) - (1-q)*log2(1-q) at q = 0.25
 H2_QUARTER = 0.81127812445913286391
 # mpmath, 50 dps: h2((1 + exp(-0.45))/2)
@@ -156,7 +156,7 @@ def test_attenuate_exact_decade():
 
 
 def test_attenuate_frozen_value():
-    assert 0.2 * transmittance(0.2, 30.0) == pytest.approx(ATTENUATE_02_02_30, rel=1e-14)
+    assert 0.2 * transmittance(0.2, 30.0) == pytest.approx(MU_B_02_02_30, rel=1e-14)
 
 
 def test_attenuate_strictly_decreasing_in_length():

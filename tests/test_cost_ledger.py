@@ -40,7 +40,6 @@ COUNTED = (
     "montecarlo.simulate_active_attack",
     "montecarlo.simulate_no_attack",
     "montecarlo.decoy_distortion",
-    "montecarlo.blocking_probability",
 )
 
 # Calls per traced function, the trace's own work counters (pulses
@@ -87,7 +86,6 @@ LEDGER = {
         "core.channel_point": 10,
         "core.transmittance": 10,
         "montecarlo._words.words": 147456,
-        "montecarlo.blocking_probability": 6,
         "montecarlo.decoy_distortion": 2,
         "montecarlo.simulate_active_attack": 4,  # each stream simulated twice per validation
         "montecarlo.simulate_active_attack.pulses": 16384,

@@ -30,7 +30,6 @@ from cowsec.montecarlo import (
     _pattern_probabilities,
     _pulse_outcomes,
     _words,
-    blocking_probability,
     decoy_distortion,
     simulate_active_attack,
     simulate_no_attack,
@@ -69,7 +68,7 @@ def pulses(stats):
 
 def policy_expectations(p: ProtocolParams, length_km: float, plan):
     """Closed-form per-pulse rates implied by the blocking policy."""
-    beta = blocking_probability(plan)
+    beta = plan.p_block
     info_block = math.exp(-plan.mu_e) * beta  # inconclusive, then blocked
     p_fwd = -math.expm1(-plan.mu_b_prime)
     return {
@@ -125,7 +124,7 @@ def test_active_attack_grid_rates(mu, length):
     stats = simulate_active_attack(p, length, F, N, SEED)
     info = stats.info
     expect = policy_expectations(p, length, plan)
-    block_decoy = math.exp(-2.0 * plan.mu_e) * blocking_probability(plan)
+    block_decoy = math.exp(-2.0 * plan.mu_e) * plan.p_block
     patterns = _pattern_probabilities(
         -math.expm1(-plan.mu_b_prime), plan.block_fraction, block_decoy
     )
@@ -329,7 +328,7 @@ def test_golden_counts_active_attack(length, block_fraction, counts):
 )
 def test_golden_counts_kernel_branches(p, length, f, mu_e, beta, counts):
     plan = active_plan(p, length, mu_e)
-    assert blocking_probability(plan) == beta
+    assert plan.p_block == beta
     stats = golden_range(simulate_active_attack, p, length, f, mu_e=mu_e)
     assert stats == _golden(GOLDEN_N, *counts)
 
@@ -485,7 +484,7 @@ def scalar_streams(p, length, f, mu_e, n, seed, first):
     plan = active_plan(p, length, mu_e)
     p_bob = -math.expm1(-plan.mu_b_prime)
     p_lossy = -math.expm1(-channel_point(p, length).mu_b)
-    beta = blocking_probability(plan)
+    beta = plan.p_block
     return (
         scalar_simulate(f, p_bob, plan.p_conc_inf, beta, n, seed, first),
         scalar_simulate(f, p_lossy, 0.0, 0.0, n, seed, first),
@@ -544,7 +543,7 @@ def test_beam_splitter_arms_are_independent():
         F,
         -math.expm1(-plan.mu_b_prime),
         -math.expm1(-plan.mu_e),
-        blocking_probability(plan),
+        plan.p_block,
         *_buffers(SEED, N),
     )
     eve = eve[is_info]
@@ -568,7 +567,7 @@ def test_capped_plan_with_decoys_blocks_everything_inconclusive():
     p = params(0.5)
     plan = active_plan(p, 60.0)
     assert plan.block_fraction == 1.0 - plan.p_conc_inf
-    assert blocking_probability(plan) == 1.0
+    assert plan.p_block == 1.0
     stats = simulate_active_attack(p, 60.0, F, 200_000, SEED)
     for _, tally in stats.classes():
         assert tally.blocked == tally.sent - tally.eve_conclusive
@@ -619,7 +618,7 @@ def test_simulator_accepts_every_plan_active_plan_builds(mu, f, delta, length, s
 def test_capped_plan_without_decoys_blocks_everything_inconclusive():
     p = params(0.5)
     plan = active_plan(p, 60.0)
-    assert blocking_probability(plan) == 1.0
+    assert plan.p_block == 1.0
     stats = simulate_active_attack(p, 60.0, 0.0, 200_000, SEED)
     info = stats.info
     assert info.blocked == info.sent - info.eve_conclusive
@@ -649,7 +648,7 @@ def test_pattern_probabilities_no_attack_formulas():
 def test_pattern_probabilities_attack_formulas():
     p = params(0.2)
     plan = active_plan(p, 20.0)
-    beta = blocking_probability(plan)
+    beta = plan.p_block
     q = -math.expm1(-plan.mu_b_prime)
     pat = _pattern_probabilities(q, plan.block_fraction, math.exp(-2.0 * plan.mu_e) * beta)
     survive_decoy = 1.0 - math.exp(-2.0 * plan.mu_e) * beta

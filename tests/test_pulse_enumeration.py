@@ -136,7 +136,7 @@ def test_closed_forms_equal_the_exact_one_pulse_enumeration():
         label = (params.mu, f, length, mu_e)
         report = decoy_distortion(params, length, f, 1, 0, mu_e=mu_e)
         plan = report.plan
-        # beta from the plan's b directly, not through blocking_probability
+        # beta from the plan's b directly, not through its p_block
         beta = Fraction(plan.block_fraction)
         if beta:
             beta /= 1 - Fraction(plan.p_conc_inf)

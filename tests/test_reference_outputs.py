@@ -16,7 +16,10 @@ thousand ulp. sweep_grid and optimise_mu moved once more, and point_reports
 for the first time, when the closed-form commands stopped taking the decoy
 fraction, on which none of their numbers depends: every table lost its
 "# decoy_fraction=" header line and every attack report the decoy_fraction
-of its configuration line, and no computed value changed.
+of its configuration line, and no computed value changed. validate_mc moved
+once more when the plan came to carry Bob's forwarded click probability and
+Eve's blocking probability: the report's plan block gained those two keys,
+and no other byte changed.
 """
 
 import hashlib
@@ -33,7 +36,7 @@ PINNED_SHA256 = {
     "optimise_mu": "82228e1c27ba07c86a8f0c75c4d46dc7b9b785af76cef3fde9348299ba404262",
     "point_reports": "7135bf44ea27a869d322515688ba24934cfd9425417aa8fc12acd7b467ffe954",
     "sweep_grid": "69705890b40dcfbac8591295f3f7151e9e9b5d1a712dae50eb25cab9184b85a8",
-    "validate_mc": "d15194a8828efcdddf9caf64af79d32249dec11cf4055572fda9705950e1299e",
+    "validate_mc": "7e2b3932809eb1eea64826bd91c67af9a7456111b5943ec98a41a4e6bed64533",
 }
 
 

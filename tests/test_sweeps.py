@@ -601,7 +601,7 @@ def test_validation_takes_the_one_plan_its_distortion_report_carries(f, length):
     plan = report.distortion.plan
     assert plan == active_plan(p, length)
     assert report.checks[-1].expected == plan.i_ae
-    # the JSON plan block keeps its seven keys: every plan field but the margin
+    # the JSON plan block keeps its nine keys: every plan field but the margin
     block = report.to_jsonable()["plan"]
     assert list(block) == list(ActiveAttackPlan._fields[:-1])
     assert block == {name: getattr(plan, name) for name in block}
@@ -753,7 +753,7 @@ def test_cli_validate_mc_is_byte_identical(tmp_path):
 
 
 # SHA-256 of each exit code as text, then each report's bytes, over the grid below.
-VALIDATION_GRID_SHA256 = "817593148f0fbf02149b601d03356ceefaa4e435af168105c3a845b8017537eb"
+VALIDATION_GRID_SHA256 = "5c664df2dc445a222049dea9d42129c27cd6034622660ada65ed15ab914bd914"
 
 
 def test_cli_validate_mc_bytes_across_regimes(tmp_path):
