@@ -11,8 +11,9 @@ Exit codes: 0 success, 1 validation failure, 2 invalid arguments,
 The decoy fraction enters only the simulated pulse statistics, not the
 closed forms, so validate-mc is the one command that takes it.
 qber-curves and optimal-intensity build their length grid once, have
-the sweep compute its rows and write them with sweeps.write_sweep under
-a header built here, which names the command and its resolved settings.
+the sweep compute its rows and pass them to _write_table, the one caller
+of sweeps.write_sweep, which builds the header naming the command and
+its resolved settings.
 
 Each subcommand's help line, handler and arguments live in one table,
 _SUBCOMMANDS, and a subcommand's parser is built only when a command line
@@ -65,14 +66,6 @@ def _parse_range(text: str) -> Tuple[float, float, float]:
     return lo, hi, step
 
 
-def _channel_config(delta: float, grid: Tuple[float, float, float]) -> Dict[str, str]:
-    """The header keys both sweep tables share, the attenuation and the length grid, at %.17g."""
-    return {
-        "delta": f"{delta:.17g}",
-        "length": ":".join(f"{x:.17g}" for x in grid),
-    }
-
-
 _Argument = Tuple[Tuple[str, ...], Dict[str, Any]]
 
 
@@ -80,32 +73,38 @@ def _arg(*flags: str, **options: Any) -> _Argument:
     return flags, options
 
 
-def _cmd_qber_curves(args: argparse.Namespace) -> int:
-    from .sweeps import length_grid, sweep_qber_curves, write_sweep
+def _write_table(
+    args: argparse.Namespace, rows: Sequence[Any], grid: Tuple[float, float, float], **settings: str
+) -> int:
+    """Write rows to --out under a header of the command, settings, --delta and grid at %.17g."""
+    from .sweeps import write_sweep
 
-    grid = _parse_range(args.length)
-    lengths = length_grid(*grid)  # a bad --length is reported before a bad --mu
-    mu_list = _parse_mu_list(args.mu)
-    rows = sweep_qber_curves(mu_list, lengths, delta=args.delta)
     config = {
-        "command": "qber-curves",
-        "mu": ",".join(f"{m:.17g}" for m in mu_list),
-        **_channel_config(args.delta, grid),
+        "command": args.command,
+        **settings,
+        "delta": f"{args.delta:.17g}",
+        "length": ":".join(f"{x:.17g}" for x in grid),
     }
     write_sweep(args.out, rows, config, args.format)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
-def _cmd_optimal_intensity(args: argparse.Namespace) -> int:
-    from .sweeps import length_grid, sweep_optimal_intensity, write_sweep
+def _cmd_qber_curves(args: argparse.Namespace) -> int:
+    from .sweeps import length_grid, sweep_qber_curves
 
     grid = _parse_range(args.length)
-    rows = sweep_optimal_intensity(args.delta, length_grid(*grid))
-    config = {"command": "optimal-intensity", **_channel_config(args.delta, grid)}
-    write_sweep(args.out, rows, config, args.format)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+    lengths = length_grid(*grid)  # a bad --length is reported before a bad --mu
+    mu_list = _parse_mu_list(args.mu)
+    rows = sweep_qber_curves(mu_list, lengths, delta=args.delta)
+    return _write_table(args, rows, grid, mu=",".join(f"{m:.17g}" for m in mu_list))
+
+
+def _cmd_optimal_intensity(args: argparse.Namespace) -> int:
+    from .sweeps import length_grid, sweep_optimal_intensity
+
+    grid = _parse_range(args.length)
+    return _write_table(args, sweep_optimal_intensity(args.delta, length_grid(*grid)), grid)
 
 
 def _cmd_attack_report(args: argparse.Namespace) -> int:

@@ -34,7 +34,7 @@ pulses, and the bit1 and decoy counts are differences of those.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterator, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -145,10 +145,11 @@ class ClassTally(NamedTuple):
 
 
 def _rate_with_error(count: int, total: int) -> Tuple[float, float]:
-    """Empirical rate and its binomial standard error."""
-    if total <= 0:
-        return math.nan, math.nan
-    p = count / total
+    """Empirical rate and its binomial standard error, both NaN for an empty class (total 0).
+
+    An empty class divides by NaN, and _binomial_se gives NaN for n = 0.
+    """
+    p = count / (total or math.nan)
     return p, _binomial_se(p, total)
 
 
@@ -158,9 +159,6 @@ class TrialStats(NamedTuple):
     bit0: ClassTally = ClassTally()
     bit1: ClassTally = ClassTally()
     decoy: ClassTally = ClassTally()
-
-    def classes(self) -> Iterator[Tuple[str, ClassTally]]:
-        return zip(self._fields, self)
 
     @property
     def info(self) -> ClassTally:
@@ -400,8 +398,11 @@ def decoy_distortion(
     statistically detectable on Bob's side. The flag uses the analytic
     probabilities, making it deterministic up to class-count fluctuations;
     observed frequencies and their z-scores against the unattacked
-    expectation are reported alongside, NaN for a class that no pulse
-    fell in. The attack is
+    expectation are reported alongside. A class that no pulse fell in
+    reports them as NaN, by _rate_with_error's rule and _binomial_se's NaN
+    standard error for n = 0. A run without decoys (decoy_fraction 0) has
+    no decoy rows: this is the one place that decides it, and
+    run_montecarlo_validation reads it from the rows. The attack is
     active_plan(params, length_km, mu_e), Eve's optimum when mu_e is None;
     at the full budget she forwards the expected intensity unblocked
     (p_forward_click = p_lossy_click, p_block = 0), which distorts nothing
@@ -419,10 +420,9 @@ def decoy_distortion(
     )
 
     rows = []
-    for name, att_tally in attacked.classes():
+    for name, att_tally, base_tally in zip(TrialStats._fields, attacked, baseline):
         if name == "decoy" and decoy_fraction == 0.0:
             continue
-        base_tally = getattr(baseline, name)
         cells = zip(
             _PATTERNS, expect_no[name], expect_att[name], att_tally.patterns, base_tally.patterns
         )
@@ -431,12 +431,10 @@ def decoy_distortion(
             obs_no, se_no = _rate_with_error(base_count, base_tally.sent)
             se_model = _binomial_se(e_att, att_tally.sent)
             flagged = se_model > 0 and abs(e_att - e_no) > 5.0 * se_model
-            if se_model > 0:
-                z = (obs_att - e_no) / se_model
-            elif att_tally.sent:
+            if se_model == 0:  # the model makes the pattern certain
                 z = 0.0 if obs_att == e_no else math.inf
-            else:  # no pulse of this class, so nothing was observed
-                z = math.nan
+            else:  # NaN for an empty class, whose se_model is NaN
+                z = (obs_att - e_no) / se_model
             rows.append(
                 PatternRow(name, pattern, e_no, e_att, obs_no, se_no, obs_att, se_att, z, flagged)
             )

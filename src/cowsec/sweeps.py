@@ -339,7 +339,8 @@ def run_montecarlo_validation(
     plan = distortion.plan
     cells = {(r.pulse_class, r.pattern): r for r in distortion.rows}
     single = cells["bit0", "single"]
-    p_double = cells["decoy", "double"].expected_no_attack if decoy_fraction > 0 else None
+    double = cells.get(("decoy", "double"))  # None for a run without decoys
+    p_double = double.expected_no_attack if double else None
     base, att, decoy = baseline.info, attacked.info, baseline.decoy
     # (name, count, trials, expected) in report order; a rate of None (no decoys) is not checked
     rows = (

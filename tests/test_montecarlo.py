@@ -103,7 +103,7 @@ def test_no_attack_rates():
     assert_within_4_sigma(stats.bit0.sent, N, 0.45, "bit0 fraction")
     # information states occupy one slot, they can never double-click
     assert info.bob_double_click == 0
-    assert all(t.eve_conclusive == t.blocked == 0 for _, t in stats.classes())
+    assert all(t.eve_conclusive == t.blocked == 0 for t in stats)
 
 
 def test_no_attack_without_decoys():
@@ -143,7 +143,7 @@ def test_active_attack_grid_rates(mu, length):
         stats.decoy.bob_double_click, stats.decoy.sent, patterns["decoy"][2], "decoy double"
     )
     # Eve never blocks her conclusive pulses
-    for _, tally in stats.classes():
+    for tally in stats:
         assert tally.blocked <= tally.sent - tally.eve_conclusive
         assert tally.bob_single_click + tally.bob_double_click <= tally.sent
 
@@ -569,7 +569,7 @@ def test_capped_plan_with_decoys_blocks_everything_inconclusive():
     assert plan.block_fraction == 1.0 - plan.p_conc_inf
     assert plan.p_block == 1.0
     stats = simulate_active_attack(p, 60.0, F, 200_000, SEED)
-    for _, tally in stats.classes():
+    for tally in stats:
         assert tally.blocked == tally.sent - tally.eve_conclusive
     info = stats.info
     assert info.eve_conclusive_bob_click == info.bob_click > 0

@@ -293,6 +293,31 @@ def test_round_trip_preserves_rows_exactly(tmp_path, fmt):
     assert header["delta"] == f"{0.2:.17g}"
 
 
+def test_table_header_lists_the_command_and_its_resolved_settings(tmp_path):
+    # each setting in its %.17g spelling, whatever spelling the command line used
+    tool = [("tool", "cowsec"), ("version", __version__)]
+    path = tmp_path / "curves.csv"
+    argv = ["qber-curves", "--mu", "5e-1,.1", "--delta", ".3", "--length", "0:1.5e2:75"]
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    header, _ = read_csv_table(str(path))
+    assert list(header.items()) == tool + [
+        ("command", "qber-curves"),
+        ("mu", "0.5,0.10000000000000001"),
+        ("delta", "0.29999999999999999"),
+        ("length", "0:150:75"),
+        ("format", "csv"),
+    ]
+    path = tmp_path / "optimal.json"
+    argv = ["optimal-intensity", "--delta", "3e-1", "--length", "1:3:1", "--format", "json"]
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    assert list(json.loads(path.read_text())["metadata"].items()) == tool + [
+        ("command", "optimal-intensity"),
+        ("delta", "0.29999999999999999"),
+        ("length", "1:3:1"),
+        ("format", "json"),
+    ]
+
+
 def test_seventeen_digit_rendering_round_trips_awkward_floats(tmp_path):
     awkward = SweepRow(1.0 / 3.0, math.pi, 0.1 + 0.2, math.nan, 5e-324, 2.0**53, -0.0, False, math.inf)
     path = tmp_path / "awkward.csv"
@@ -1083,11 +1108,20 @@ def test_every_qber_table_carries_both_attacks():
 def test_only_the_cli_builds_a_table_header_and_names_its_commands():
     # a sweep computes rows; the header that names the command writing a
     # table is built in cli.py, the one home of the command names (string
-    # constants of code count, docstrings do not)
+    # constants of code count, docstrings do not), by one function, which
+    # is also the one caller of write_sweep
     words = ("command", "qber-curves", "optimal-intensity")
-    found = set()
+    found, writers, header_builders = set(), set(), set()
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
+        owner = innermost_functions(tree)
+        for node in ast.walk(tree):
+            if getattr(getattr(node, "func", None), "id", None) == "write_sweep":
+                writers.add((path.stem, owner.get(node)))
+            if isinstance(node, ast.Dict) and any(
+                isinstance(k, ast.Constant) and k.value == "command" for k in node.keys
+            ):
+                header_builders.add((path.stem, owner.get(node)))
         docstrings = {
             node.body[0].value
             for node in ast.walk(tree)
@@ -1103,6 +1137,7 @@ def test_only_the_cli_builds_a_table_header_and_names_its_commands():
                     if (node.value == word if word == "command" else word in node.value)
                 )
     assert found == {("cli", word) for word in words}
+    assert writers == header_builders == {("cli", "_write_table")}
 
 
 def test_one_function_opens_files_and_it_translates_no_newlines():
